@@ -22,6 +22,18 @@ cargo test -q --offline --features fault-injection --test service_supervision
 echo "==> campaign service smoke example (under fault injection)"
 cargo run -q --offline --release --features fault-injection --example campaign_service
 
+echo "==> perfbench tests (BENCHMARK.json pinned to the metric definitions)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench one-pass nominal_lut smoke (correct, no failed ops)"
+# perfbench rejects --seconds 0; the smallest positive budget runs one pass.
+result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload nominal_lut --seed 1 --seconds 0.001 --trace 0 | tail -n 1)
+if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+  echo "perfbench smoke failed: $result" >&2
+  exit 1
+fi
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 

@@ -9,7 +9,7 @@ use finrad_core::strike::{
     combine_cell_pofs, DepositMode, DirectionLaw, FlipModel, StrikeSimulator,
 };
 use finrad_finfet::Technology;
-use finrad_geometry::trace::trace_boxes;
+use finrad_geometry::trace::{trace_boxes, BoxGrid};
 use finrad_geometry::{Ray, Vec3};
 use finrad_numerics::rng::Xoshiro256pp;
 use finrad_sram::{CellCharacterizer, CharacterizeOptions, PofTable, Variation};
@@ -31,7 +31,8 @@ fn nominal_table() -> PofTable {
 }
 
 fn bench_ray_trace(c: &mut Harness) {
-    // Tracing one ray against all 486 fin boxes of the paper's 9x9 array.
+    // Tracing one ray through the 486 fin boxes of the paper's 9x9 array:
+    // the linear reference scan, then the bin grid.
     let array = MemoryArray::build(
         &Technology::soi_finfet_14nm(),
         9,
@@ -47,6 +48,11 @@ fn bench_ray_trace(c: &mut Harness) {
     );
     c.bench_function("trace_9x9_array_486_boxes", |b| {
         b.iter(|| black_box(trace_boxes(&ray, &boxes)))
+    });
+    // The same ray through the binned layout the strike simulators trace.
+    let grid = BoxGrid::new(&boxes);
+    c.bench_function("trace_9x9_array_grid", |b| {
+        b.iter(|| black_box(grid.trace(&ray)))
     });
 }
 

@@ -26,7 +26,7 @@ use crate::checkpoint::{
 };
 use crate::fit::{fit_rate_checked, FitRate, PofBin};
 use crate::pipeline::{PipelineConfig, SerPipeline};
-use crate::strike::{DepositMode, StrikeSimulator};
+use crate::strike::StrikeSimulator;
 use crate::CoreError;
 use finrad_environment::SpectrumBin;
 use finrad_units::{Particle, Voltage};
@@ -323,8 +323,7 @@ impl CampaignRunner {
 
         let array = self.pipeline.build_array();
         let traversal = self.pipeline.traversal();
-        let lut = (cfg.pipeline.deposit == DepositMode::LutMean)
-            .then(|| self.pipeline.build_ehp_lut(cfg.particle));
+        let lut = self.pipeline.deposit_lut(cfg.particle);
         let sim = StrikeSimulator::new(
             &array,
             traversal,

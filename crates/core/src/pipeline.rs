@@ -206,6 +206,8 @@ impl SerPipeline {
     /// Builds the device-level electron-hole pair LUT for `particle`
     /// (needed by [`DepositMode::LutMean`]; built over 0.1-10^3 MeV).
     pub fn build_ehp_lut(&self, particle: Particle) -> EhpLut {
+        let _timer = finrad_observe::span(finrad_observe::keys::TRANSPORT_LUT_BUILD_SECONDS);
+        finrad_observe::counter_add(finrad_observe::keys::TRANSPORT_LUT_BUILDS, 1);
         // The 0x1A7 tag decorrelates the LUT-build stream from the MC
         // streams; it predates `salted_stream` and its draws are pinned by
         // golden tests, so the inline derivation stays.
@@ -220,6 +222,12 @@ impl SerPipeline {
             self.config.lut_samples,
             &mut rng,
         )
+    }
+
+    /// The LUT the configured deposit mode needs for `particle`: built in
+    /// [`DepositMode::LutMean`], `None` otherwise.
+    pub(crate) fn deposit_lut(&self, particle: Particle) -> Option<EhpLut> {
+        (self.config.deposit == DepositMode::LutMean).then(|| self.build_ehp_lut(particle))
     }
 
     /// The ground-level spectrum for `particle`.
@@ -278,12 +286,10 @@ impl SerPipeline {
         energies: &[Energy],
     ) -> Vec<(Energy, ArrayPofEstimate)> {
         let array = self.build_array();
-        let traversal = self.traversal();
-        let lut =
-            (self.config.deposit == DepositMode::LutMean).then(|| self.build_ehp_lut(particle));
+        let lut = self.deposit_lut(particle);
         let sim = StrikeSimulator::new(
             &array,
-            traversal,
+            self.traversal(),
             table,
             self.direction_for(particle),
             self.config.deposit,
@@ -319,19 +325,29 @@ impl SerPipeline {
     /// Full pipeline reusing a prebuilt POF table (`vdd` must match the
     /// table's characterization voltage).
     pub fn run_with_table(&self, particle: Particle, vdd: Voltage, table: &PofTable) -> SerReport {
+        self.run_with_lut(particle, vdd, table, self.deposit_lut(particle).as_ref())
+    }
+
+    /// [`Self::run_with_table`] with the deposit-mode LUT supplied by the
+    /// caller (see [`Self::deposit_lut`]), so a sweep builds it once per
+    /// particle instead of once per voltage.
+    pub(crate) fn run_with_lut(
+        &self,
+        particle: Particle,
+        vdd: Voltage,
+        table: &PofTable,
+        lut: Option<&EhpLut>,
+    ) -> SerReport {
         let bins = self.energy_bins(particle);
         let array = self.build_array();
-        let traversal = self.traversal();
-        let lut =
-            (self.config.deposit == DepositMode::LutMean).then(|| self.build_ehp_lut(particle));
         let sim = StrikeSimulator::new(
             &array,
-            traversal,
+            self.traversal(),
             table,
             self.direction_for(particle),
             self.config.deposit,
             self.config.flip_model,
-            lut.as_ref(),
+            lut,
         );
         let pof_bins: Vec<PofBin> = bins
             .iter()

@@ -46,7 +46,7 @@ use crate::campaign::{
 };
 use crate::checkpoint::config_fingerprint;
 use crate::pipeline::SerPipeline;
-use crate::strike::{DepositMode, StrikeSimulator};
+use crate::strike::StrikeSimulator;
 use crate::CoreError;
 use finrad_environment::SpectrumBin;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
@@ -670,8 +670,7 @@ fn prepare_job(cfg: &CampaignConfig) -> Result<(Prepared, Vec<Option<BinOutcome>
     let table = pipeline.build_pof_table(cfg.vdd).map_err(classify_setup)?;
     let bins = pipeline.energy_bins(cfg.particle);
     let array = pipeline.build_array();
-    let lut = (cfg.pipeline.deposit == DepositMode::LutMean)
-        .then(|| pipeline.build_ehp_lut(cfg.particle));
+    let lut = pipeline.deposit_lut(cfg.particle);
     let mut outcomes = vec![None; bins.len()];
     if let Some(path) = &cfg.checkpoint_path {
         if path.exists() {

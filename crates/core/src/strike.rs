@@ -12,8 +12,8 @@
 //! [`StrikeSimulator::estimate`]).
 
 use crate::array::{clamp_pof, MemoryArray};
-use finrad_geometry::trace::trace_boxes;
-use finrad_geometry::{sampling, Aabb, Ray};
+use finrad_geometry::trace::BoxGrid;
+use finrad_geometry::{sampling, Ray};
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_numerics::stats::RunningStats;
 use finrad_sram::{PofCurve, PofTable, StrikeCombo, StrikeTarget};
@@ -270,7 +270,8 @@ pub fn multiplicity_pmf(pofs: &[f64]) -> Vec<f64> {
 /// The array strike simulator binding geometry, transport and POF tables.
 pub struct StrikeSimulator<'a> {
     array: &'a MemoryArray,
-    boxes: Vec<Aabb>,
+    /// The array's fin boxes, binned for ray tracing.
+    grid: BoxGrid,
     traversal: FinTraversal,
     lut: Option<&'a EhpLut>,
     pof: &'a PofTable,
@@ -306,7 +307,7 @@ impl<'a> StrikeSimulator<'a> {
         );
         Self {
             array,
-            boxes: array.fin_boxes(),
+            grid: BoxGrid::new(&array.fin_boxes()),
             traversal,
             lut,
             pof,
@@ -330,6 +331,13 @@ impl<'a> StrikeSimulator<'a> {
         energy: Energy,
         rng: &mut R,
     ) -> IterationOutcome {
+        let ray = self.launch_ray(rng);
+        self.simulate_ray(particle, energy, &ray, rng)
+    }
+
+    /// A forced-hit launch: a point on the array's top face and a downward
+    /// direction drawn from the configured law.
+    fn launch_ray<R: Rng + ?Sized>(&self, rng: &mut R) -> Ray {
         let launch = sampling::point_on_top_face(rng, &self.array.bounds());
         let dir = match self.direction {
             DirectionLaw::CosineDown => sampling::cosine_law_hemisphere(rng),
@@ -346,8 +354,7 @@ impl<'a> StrikeSimulator<'a> {
                 d
             }
         };
-        let ray = Ray::new(launch, dir);
-        self.simulate_ray(particle, energy, &ray, rng)
+        Ray::new(launch, dir)
     }
 
     /// Simulates one explicit ray (used by tests and by alternative launch
@@ -372,7 +379,7 @@ impl<'a> StrikeSimulator<'a> {
         ray: &Ray,
         rng: &mut R,
     ) -> Vec<f64> {
-        let crossings = trace_boxes(ray, &self.boxes);
+        let crossings = self.grid.trace(ray);
         if crossings.is_empty() {
             return Vec::new();
         }
@@ -546,18 +553,7 @@ impl<'a> StrikeSimulator<'a> {
         let mut rng = Xoshiro256pp::seed_from_u64(seed);
         let mut acc = vec![0.0; max_k + 1];
         for _ in 0..iterations {
-            let launch = sampling::point_on_top_face(&mut rng, &self.array.bounds());
-            let dir = match self.direction {
-                DirectionLaw::CosineDown => sampling::cosine_law_hemisphere(&mut rng),
-                DirectionLaw::IsotropicDown => {
-                    let mut d = sampling::isotropic_direction(&mut rng);
-                    if d.z >= 0.0 {
-                        d.z = -(d.z.max(1.0e-6));
-                    }
-                    d
-                }
-            };
-            let ray = Ray::new(launch, dir);
+            let ray = self.launch_ray(&mut rng);
             let pofs = self.cell_pofs_for_ray(particle, energy, &ray, &mut rng);
             let pmf = multiplicity_pmf(&pofs);
             for (k, &p) in pmf.iter().enumerate() {

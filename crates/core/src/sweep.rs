@@ -3,7 +3,8 @@
 //!
 //! [`VddSweep`] runs the full pipeline over a list of supply voltages for
 //! both particle species, reusing one POF characterization per voltage
-//! (the expensive step), and returns the FIT/MBU series the figures plot.
+//! (the expensive step) and one transport LUT per particle, and returns
+//! the FIT/MBU series the figures plot.
 
 use crate::pipeline::{SerPipeline, SerReport};
 use crate::CoreError;
@@ -45,13 +46,16 @@ impl VddSweep {
     /// Panics if `vdds` is empty.
     pub fn run(pipeline: &SerPipeline, vdds: &[Voltage]) -> Result<Self, CoreError> {
         assert!(!vdds.is_empty(), "sweep needs at least one voltage");
+        // The transport LUT does not depend on V_dd: one per particle.
+        let proton_lut = pipeline.deposit_lut(Particle::Proton);
+        let alpha_lut = pipeline.deposit_lut(Particle::Alpha);
         let mut points = Vec::with_capacity(vdds.len());
         for &vdd in vdds {
             let table = pipeline.build_pof_table(vdd)?;
             points.push(SweepPoint {
                 vdd,
-                proton: pipeline.run_with_table(Particle::Proton, vdd, &table),
-                alpha: pipeline.run_with_table(Particle::Alpha, vdd, &table),
+                proton: pipeline.run_with_lut(Particle::Proton, vdd, &table, proton_lut.as_ref()),
+                alpha: pipeline.run_with_lut(Particle::Alpha, vdd, &table, alpha_lut.as_ref()),
             });
         }
         Ok(Self { points })

@@ -63,6 +63,11 @@ pub const SRAM_COMBOS: &str = "sram.characterize.combos";
 /// Wall time per characterized combo, seconds.
 pub const SRAM_COMBO_SECONDS: &str = "sram.characterize.combo_seconds";
 
+/// Device-level electron-hole pair LUTs built (`SerPipeline::build_ehp_lut`).
+pub const TRANSPORT_LUT_BUILDS: &str = "transport.lut.builds";
+/// Wall time of one electron-hole pair LUT build, seconds.
+pub const TRANSPORT_LUT_BUILD_SECONDS: &str = "transport.lut.build_seconds";
+
 /// Array-level strike-MC iterations executed.
 pub const STRIKE_ITERATIONS: &str = "core.strike.iterations";
 /// Strike-MC iterations rejected by the accumulator NaN quarantine.

@@ -19,3 +19,8 @@ pub fn round_two_hot_path_keys() {
     finrad_observe::counter_add("spice.transient.lte_step_growths", 1);
     finrad_observe::counter_add("finfet.model.batched_evals", 1);
 }
+
+pub fn transport_lut_keys() {
+    finrad_observe::counter_add("transport.lut.builds", 1);
+    finrad_observe::record("transport.lut.build_seconds", 1.0);
+}

@@ -140,9 +140,12 @@ fn metrics_key_registry_fixture() {
         .metric_keys
         .contains("spice.transient.lte_step_growths"));
     assert!(index.metric_keys.contains("finfet.model.batched_evals"));
-    // Declared key (line 5), prefix-composed key (line 9) and the round-2
-    // keys (lines 17-20) pass; only the typo'd key fires, with the span on
-    // the string literal.
+    // The transport LUT-build keys are registered too.
+    assert!(index.metric_keys.contains("transport.lut.builds"));
+    assert!(index.metric_keys.contains("transport.lut.build_seconds"));
+    // Declared key (line 5), prefix-composed key (line 9), the round-2
+    // keys (lines 17-20) and the LUT-build keys (lines 24-25) pass; only
+    // the typo'd key fires, with the span on the string literal.
     assert_eq!(v.len(), 1, "{v:#?}");
     assert_eq!(v[0].lint, LintId::MetricsKeyRegistry);
     assert_eq!((v[0].line, v[0].col), (13, 33));
