@@ -7,6 +7,9 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release --offline"
 cargo build --workspace --release --offline
 
+echo "==> cargo check --all-features --all-targets (every feature must build)"
+cargo check --workspace --all-features --all-targets --offline
+
 echo "==> cargo test -q --offline"
 cargo test --workspace -q --offline
 

@@ -16,7 +16,6 @@ use finrad_units::Area;
 
 /// The data pattern stored in the array.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DataPattern {
     /// Alternating 0/1 in both directions (the physical-design default for
     /// SER testing).

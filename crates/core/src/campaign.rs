@@ -7,7 +7,7 @@
 //!   to a versioned on-disk [`Checkpoint`] at bin boundaries, and
 //!   [`CampaignRunner::resume`] continues an interrupted run to a FIT
 //!   rate bit-identical to an uninterrupted one (bins reuse the exact
-//!   per-bin seed `seed + 0xB10C + k·6271` the pipeline derives, and
+//!   per-bin seed the pipeline derives, `pipeline::bin_seed`, and
 //!   checkpointed POFs round-trip as raw f64 bit patterns).
 //! - **Degraded coverage instead of aborts** — a bin whose Monte Carlo
 //!   panics (or is forced to fail by the fault-injection plan) becomes an
@@ -25,7 +25,7 @@ use crate::checkpoint::{
     config_fingerprint, BinRecord, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
 };
 use crate::fit::{fit_rate_checked, FitRate, PofBin};
-use crate::pipeline::{PipelineConfig, SerPipeline};
+use crate::pipeline::{bin_seed, PipelineConfig, SerPipeline};
 use crate::strike::StrikeSimulator;
 use crate::CoreError;
 use finrad_environment::SpectrumBin;
@@ -398,9 +398,7 @@ pub(crate) fn supervised_bin(
             error: format!("injected fault: bin {k} forced to fail"),
         });
     }
-    // Exactly the per-bin seed SerPipeline::run_with_table derives —
-    // the bit-identical-resume guarantee hangs on this.
-    let seed = cfg.pipeline.seed.wrapping_add(0xB10C + k as u64 * 6271);
+    let seed = bin_seed(cfg.pipeline.seed, k);
     let iterations = cfg.pipeline.iterations_per_energy;
     let bin_timer = finrad_observe::span(finrad_observe::keys::CAMPAIGN_BIN_SECONDS);
     let result = catch_unwind(AssertUnwindSafe(|| {

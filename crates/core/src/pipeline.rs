@@ -357,7 +357,7 @@ impl SerPipeline {
                     particle,
                     sb.energy,
                     self.config.iterations_per_energy,
-                    self.config.seed.wrapping_add(0xB10C + k as u64 * 6271),
+                    bin_seed(self.config.seed, k),
                 );
                 PofBin {
                     spectrum: *sb,
@@ -377,6 +377,13 @@ impl SerPipeline {
             bins: pof_bins,
         }
     }
+}
+
+/// The strike Monte-Carlo seed of energy bin `k`. Campaign bins use the
+/// same derivation, which is what makes a resumed campaign bit-identical
+/// to an uninterrupted pipeline run.
+pub(crate) fn bin_seed(seed: u64, k: usize) -> u64 {
+    seed.wrapping_add(0xB10C + k as u64 * 6271)
 }
 
 #[cfg(test)]

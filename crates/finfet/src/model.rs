@@ -21,7 +21,6 @@ use finrad_units::Voltage;
 
 /// Channel polarity of a FinFET instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Polarity {
     /// N-channel (pull-down and pass-gate devices in the 6T cell).
     Nmos,
@@ -45,66 +44,6 @@ pub struct SmallSignal {
     pub did_dvs: f64,
 }
 
-/// Structure-of-arrays result of [`FinFet::evaluate_batch`]: lane `k`
-/// holds the evaluation the scalar path would produce for
-/// `device.with_delta_vth(delta_vths[k]).evaluate(vg, vd, vs)`, bit for
-/// bit. The columnar layout keeps the per-lane math contiguous so the
-/// Monte-Carlo inner loop amortizes call overhead and vectorizes.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SmallSignalBatch {
-    /// Drain current per lane, amperes.
-    pub id: Vec<f64>,
-    /// ∂I_d/∂V_g per lane, siemens.
-    pub did_dvg: Vec<f64>,
-    /// ∂I_d/∂V_d per lane, siemens.
-    pub did_dvd: Vec<f64>,
-    /// ∂I_d/∂V_s per lane, siemens.
-    pub did_dvs: Vec<f64>,
-}
-
-impl SmallSignalBatch {
-    /// An empty batch with room for `n` lanes.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            id: Vec::with_capacity(n),
-            did_dvg: Vec::with_capacity(n),
-            did_dvd: Vec::with_capacity(n),
-            did_dvs: Vec::with_capacity(n),
-        }
-    }
-
-    /// Number of lanes currently held.
-    pub fn len(&self) -> usize {
-        self.id.len()
-    }
-
-    /// Whether the batch holds no lanes.
-    pub fn is_empty(&self) -> bool {
-        self.id.is_empty()
-    }
-
-    /// Lane `k` as a scalar [`SmallSignal`].
-    pub fn lane(&self, k: usize) -> SmallSignal {
-        SmallSignal {
-            id: self.id[k],
-            did_dvg: self.did_dvg[k],
-            did_dvd: self.did_dvd[k],
-            did_dvs: self.did_dvs[k],
-        }
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.id.clear();
-        self.did_dvg.clear();
-        self.did_dvd.clear();
-        self.did_dvs.clear();
-        self.id.resize(n, 0.0);
-        self.did_dvg.resize(n, 0.0);
-        self.did_dvd.resize(n, 0.0);
-        self.did_dvs.resize(n, 0.0);
-    }
-}
-
 /// A sized FinFET instance bound to a [`Technology`].
 ///
 /// # Examples
@@ -119,7 +58,6 @@ impl SmallSignalBatch {
 /// assert!(on.id > 1e3 * off.id); // strong ON/OFF ratio
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FinFet {
     polarity: Polarity,
     n_fins: u32,
@@ -306,91 +244,6 @@ impl FinFet {
             did_dvd: deriv[1],
             did_dvs: deriv[2],
         }
-    }
-
-    /// Evaluates this device at one bias point across a batch of
-    /// threshold-shift overrides: lane `k` equals
-    /// `self.with_delta_vth(delta_vths[k]).evaluate(v_gate, v_drain,
-    /// v_source)` bit for bit (pinned by a test). The polarity mirror and
-    /// the source/drain swap depend only on the shared voltages, so both
-    /// are resolved once and the per-lane loop is branch-free apart from
-    /// the softplus range guards.
-    pub fn evaluate_batch(
-        &self,
-        v_gate: f64,
-        v_drain: f64,
-        v_source: f64,
-        delta_vths: &[f64],
-        out: &mut SmallSignalBatch,
-    ) {
-        out.reset(delta_vths.len());
-        if delta_vths.is_empty() {
-            return;
-        }
-
-        // Resolve the PMOS mirror and the source/drain swap once; the
-        // lane loop then runs the same statements as the scalar
-        // `evaluate_nmos_forward`, with only `delta_vth` varying.
-        let pmos = self.polarity == Polarity::Pmos;
-        let (mvg, mvd, mvs) = if pmos {
-            (-v_gate, -v_drain, -v_source)
-        } else {
-            (v_gate, v_drain, v_source)
-        };
-        let swap = mvd < mvs;
-        let (vg, vd, vs) = if swap {
-            (mvg, mvs, mvd)
-        } else {
-            (mvg, mvd, mvs)
-        };
-
-        let (n, eta, phi_t) = (self.n_slope, self.eta, self.phi_t);
-        let vgs = vg - vs;
-        let vds = vd - vs;
-        let dvp = [1.0 / n, eta / n, -(1.0 + eta) / n];
-        let dvds = [0.0, 1.0, -1.0];
-        let mut dxs = [0.0f64; 3];
-        let mut dxd = [0.0f64; 3];
-        for k in 0..3 {
-            dxs[k] = dvp[k] / phi_t;
-            dxd[k] = (dvp[k] - dvds[k]) / phi_t;
-        }
-
-        for (lane, &delta) in delta_vths.iter().enumerate() {
-            let vth_eff = self.vth0 + delta - eta * vds;
-            let vp = (vgs - vth_eff) / n;
-            let xs = vp / phi_t;
-            let xd = (vp - vds) / phi_t;
-
-            let f_s = ekv_f(xs);
-            let f_d = ekv_f(xd);
-            let fp_s = ekv_f_prime(xs);
-            let fp_d = ekv_f_prime(xd);
-
-            let id_f = self.i_spec * (f_s - f_d);
-            let dvg_f = self.i_spec * (fp_s * dxs[0] - fp_d * dxd[0]);
-            let dvd_f = self.i_spec * (fp_s * dxs[1] - fp_d * dxd[1]);
-            let dvs_f = self.i_spec * (fp_s * dxs[2] - fp_d * dxd[2]);
-
-            // Undo the swap and the mirror with the exact negation
-            // sequence of the scalar path so lanes stay bit-identical.
-            let (id_n, dvg, dvd, dvs) = if swap {
-                (-id_f, -dvg_f, -dvs_f, -dvd_f)
-            } else {
-                (id_f, dvg_f, dvd_f, dvs_f)
-            };
-            let id = if pmos { -id_n } else { id_n };
-
-            out.id[lane] = id;
-            out.did_dvg[lane] = dvg;
-            out.did_dvd[lane] = dvd;
-            out.did_dvs[lane] = dvs;
-        }
-
-        finrad_observe::counter_add(
-            finrad_observe::keys::FINFET_MODEL_BATCHED_EVALS,
-            delta_vths.len() as u64,
-        );
     }
 
     /// ON-state drain current at `vdd` (gate and drain at `vdd`, source at
@@ -580,56 +433,6 @@ mod tests {
     #[should_panic(expected = "at least one fin")]
     fn rejects_zero_fins() {
         let _ = FinFet::new(&tech(), Polarity::Nmos, 0);
-    }
-
-    #[test]
-    fn batch_lanes_bit_identical_to_scalar_path() {
-        // Bias points cover forward, swapped (vd < vs), and PMOS-mirrored
-        // regions so every branch resolved outside the lane loop is hit.
-        let deltas = [-0.08, -0.03, 0.0, 0.012, 0.05, 0.1];
-        let mut batch = SmallSignalBatch::with_capacity(deltas.len());
-        for dev in [&nfet(), &pfet()] {
-            for (vg, vd, vs) in [
-                (0.8, 0.8, 0.0),
-                (0.4, 0.2, 0.0),
-                (0.6, 0.1, 0.5),
-                (0.0, 0.0, 0.8),
-                (0.3, 0.7, 0.7),
-            ] {
-                dev.evaluate_batch(vg, vd, vs, &deltas, &mut batch);
-                assert_eq!(batch.len(), deltas.len());
-                for (k, &delta) in deltas.iter().enumerate() {
-                    let scalar = dev
-                        .with_delta_vth(Voltage::from_volts(delta))
-                        .evaluate(vg, vd, vs);
-                    let lane = batch.lane(k);
-                    for (b, s) in [
-                        (lane.id, scalar.id),
-                        (lane.did_dvg, scalar.did_dvg),
-                        (lane.did_dvd, scalar.did_dvd),
-                        (lane.did_dvs, scalar.did_dvs),
-                    ] {
-                        assert_eq!(
-                            b.to_bits(),
-                            s.to_bits(),
-                            "lane {k} at ({vg},{vd},{vs}): batch {b} vs scalar {s}"
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn batch_empty_and_reuse() {
-        let d = nfet();
-        let mut batch = SmallSignalBatch::default();
-        d.evaluate_batch(0.8, 0.8, 0.0, &[0.0, 0.01], &mut batch);
-        assert_eq!(batch.len(), 2);
-        assert!(!batch.is_empty());
-        // Reusing the same buffer with fewer lanes truncates it.
-        d.evaluate_batch(0.8, 0.8, 0.0, &[], &mut batch);
-        assert!(batch.is_empty());
     }
 
     #[test]

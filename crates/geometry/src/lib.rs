@@ -37,7 +37,6 @@ use std::ops::{Add, Div, Mul, Neg, Sub};
 
 /// A 3-D vector. Coordinates are metres when used as a position.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Vec3 {
     /// X component.
     pub x: f64,
@@ -176,7 +175,6 @@ impl fmt::Display for Vec3 {
 
 /// A half-infinite ray: origin plus unit direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Ray {
     origin: Vec3,
     direction: Vec3,
@@ -241,7 +239,6 @@ impl RayHit {
 /// standard-cell SRAM layout, so AABBs are an exact representation, not an
 /// approximation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Aabb {
     min: Vec3,
     max: Vec3,

@@ -45,10 +45,6 @@ pub const SPICE_NEWTON_REFACTORIZATIONS: &str = "spice.newton.refactorizations";
 /// timestep because the BE truncation-error estimate permitted it.
 pub const SPICE_TRANSIENT_LTE_STEP_GROWTHS: &str = "spice.transient.lte_step_growths";
 
-/// FinFET model evaluations served by the structure-of-arrays batch path
-/// (one lane per Monte-Carlo ΔVth sample).
-pub const FINFET_MODEL_BATCHED_EVALS: &str = "finfet.model.batched_evals";
-
 /// Critical-charge bisection/bracketing transient evaluations.
 pub const SRAM_BISECTION_STEPS: &str = "sram.characterize.bisection_steps";
 /// Pre-strike DC operating points answered from the per-(vdd, deltas)

@@ -318,29 +318,6 @@ impl<'c> Assembler<'c> {
         time: f64,
         gmin: f64,
     ) {
-        self.assemble_linear_into(j, b, cap_comp, time, gmin);
-
-        // MOSFETs: linearized drain current with RHS correction so that the
-        // solution of the linear system is the Newton update.
-        for m in &self.ckt.mosfets {
-            let (vg, vd, vs) = (v[m.gate.index()], v[m.drain.index()], v[m.source.index()]);
-            let ss = m.device.evaluate(vg, vd, vs);
-            self.stamp_mosfet(j, b, m, (vg, vd, vs), ss);
-        }
-    }
-
-    /// Stamps every linear element (gmin leak, resistors, capacitor
-    /// companions, sources) — the part of the system that does not depend
-    /// on the candidate voltages, shared between [`Assembler::assemble_into`]
-    /// and the batched Monte-Carlo seeding in [`warm_seed_batch`].
-    fn assemble_linear_into(
-        &self,
-        j: &mut Matrix,
-        b: &mut [f64],
-        cap_comp: Option<&[(f64, f64)]>,
-        time: f64,
-        gmin: f64,
-    ) {
         j.fill_zero();
         b.fill(0.0);
 
@@ -393,42 +370,37 @@ impl<'c> Assembler<'c> {
             }
             b[br] = vs.volts;
         }
-    }
 
-    /// Stamps one MOSFET's linearization (Jacobian conductances + RHS
-    /// correction) at terminal voltages `(vg, vd, vs)`.
-    fn stamp_mosfet(
-        &self,
-        j: &mut Matrix,
-        b: &mut [f64],
-        m: &crate::circuit::MosfetInst,
-        (vg, vd, vs): (f64, f64, f64),
-        ss: finrad_finfet::SmallSignal,
-    ) {
-        // i_d(v) ≈ ss.id + gg·(vg'-vg) + gd·(vd'-vd) + gs·(vs'-vs)
-        //        = [gg·vg' + gd·vd' + gs·vs'] + i_rhs
-        let i_rhs = ss.id - ss.did_dvg * vg - ss.did_dvd * vd - ss.did_dvs * vs;
-        let (ig, id_, is_) = (self.idx(m.gate), self.idx(m.drain), self.idx(m.source));
-        // Current flows into drain, out of source.
-        if let Some(d) = id_ {
-            if let Some(g) = ig {
-                j.add_at(d, g, ss.did_dvg);
-            }
-            j.add_at(d, d, ss.did_dvd);
-            if let Some(s) = is_ {
-                j.add_at(d, s, ss.did_dvs);
-            }
-            b[d] -= i_rhs;
-        }
-        if let Some(s_row) = is_ {
-            if let Some(g) = ig {
-                j.add_at(s_row, g, -ss.did_dvg);
-            }
+        // MOSFETs: linearized drain current with RHS correction so that the
+        // solution of the linear system is the Newton update.
+        for m in &self.ckt.mosfets {
+            let (vg, vd, vs) = (v[m.gate.index()], v[m.drain.index()], v[m.source.index()]);
+            let ss = m.device.evaluate(vg, vd, vs);
+            // i_d(v) ≈ ss.id + gg·(vg'-vg) + gd·(vd'-vd) + gs·(vs'-vs)
+            //        = [gg·vg' + gd·vd' + gs·vs'] + i_rhs
+            let i_rhs = ss.id - ss.did_dvg * vg - ss.did_dvd * vd - ss.did_dvs * vs;
+            let (ig, id_, is_) = (self.idx(m.gate), self.idx(m.drain), self.idx(m.source));
+            // Current flows into drain, out of source.
             if let Some(d) = id_ {
-                j.add_at(s_row, d, -ss.did_dvd);
+                if let Some(g) = ig {
+                    j.add_at(d, g, ss.did_dvg);
+                }
+                j.add_at(d, d, ss.did_dvd);
+                if let Some(s) = is_ {
+                    j.add_at(d, s, ss.did_dvs);
+                }
+                b[d] -= i_rhs;
             }
-            j.add_at(s_row, s_row, -ss.did_dvs);
-            b[s_row] += i_rhs;
+            if let Some(s_row) = is_ {
+                if let Some(g) = ig {
+                    j.add_at(s_row, g, -ss.did_dvg);
+                }
+                if let Some(d) = id_ {
+                    j.add_at(s_row, d, -ss.did_dvd);
+                }
+                j.add_at(s_row, s_row, -ss.did_dvs);
+                b[s_row] += i_rhs;
+            }
         }
     }
 
@@ -1005,109 +977,6 @@ pub fn dc_operating_point_warm(
             dc_operating_point_from(ckt, opts, &guess)
         }
     }
-}
-
-/// Batched one-step Newton seeds for a family of ΔVth Monte-Carlo
-/// samples sharing one base circuit and one solved `state`.
-///
-/// `deltas_by_mosfet[i][k]` is the threshold shift applied to MOSFET `i`
-/// (in [`Circuit::mosfet_ids`] order) in sample lane `k`; every inner
-/// slice must have the same lane count. The linear MNA template (gmin,
-/// resistors, sources — identical across lanes) is stamped once, each
-/// device is evaluated across all lanes in one SoA
-/// [`Circuit::evaluate_mosfet_batch`] call, and each lane then pays only
-/// its per-sample MOSFET stamps plus one dense solve. The returned seed
-/// for lane `k` is the damped, clamped single Newton iterate of the
-/// *sample* circuit started from `state` — exactly what
-/// [`dc_operating_point_warm`] wants as its starting vector, typically
-/// leaving it a single confirming iteration from convergence.
-///
-/// A lane depends only on `(state, its own deltas)`, so results are
-/// independent of how callers chunk lanes across threads.
-///
-/// # Errors
-///
-/// [`SpiceError::InvalidElement`] for a degenerate netlist,
-/// [`SpiceError::Singular`] if a lane's linearized system cannot be
-/// factored; callers should fall back to scalar cold/warm solves.
-///
-/// # Panics
-///
-/// Panics if `state` is shorter than the node count, if
-/// `deltas_by_mosfet` does not have one entry per MOSFET, or if the
-/// inner lane counts disagree.
-pub fn warm_seed_batch(
-    ckt: &Circuit,
-    opts: &NewtonOptions,
-    state: &[f64],
-    deltas_by_mosfet: &[Vec<f64>],
-) -> Result<Vec<Vec<f64>>, SpiceError> {
-    ckt.validate()?;
-    let n_nodes = ckt.node_count();
-    assert!(
-        state.len() >= n_nodes,
-        "seed state has {} entries for {n_nodes} nodes",
-        state.len()
-    );
-    assert_eq!(
-        deltas_by_mosfet.len(),
-        ckt.mosfet_count(),
-        "one ΔVth lane vector per MOSFET"
-    );
-    let lanes = deltas_by_mosfet.first().map_or(0, Vec::len);
-    assert!(
-        deltas_by_mosfet.iter().all(|d| d.len() == lanes),
-        "ragged ΔVth lanes"
-    );
-    if lanes == 0 {
-        return Ok(Vec::new());
-    }
-
-    let asm = Assembler::new(ckt);
-    let dim = (n_nodes - 1) + ckt.vsource_count();
-    let mut j_template = Matrix::zeros(dim, dim);
-    let mut b_template = vec![0.0; dim];
-    // DC seeding: capacitors open, sources at t = 0, final gmin.
-    asm.assemble_linear_into(&mut j_template, &mut b_template, None, 0.0, opts.gmin);
-
-    // One SoA model evaluation per device covers every lane.
-    let mut batches: Vec<finrad_finfet::SmallSignalBatch> = deltas_by_mosfet
-        .iter()
-        .map(|d| finrad_finfet::SmallSignalBatch::with_capacity(d.len()))
-        .collect();
-    for (i, id) in ckt.mosfet_ids().enumerate() {
-        ckt.evaluate_mosfet_batch(id, state, &deltas_by_mosfet[i], &mut batches[i]);
-    }
-
-    let mut seeds = Vec::with_capacity(lanes);
-    for k in 0..lanes {
-        let mut j = j_template.clone();
-        let mut b = b_template.clone();
-        for (m, batch) in ckt.mosfets.iter().zip(&batches) {
-            let (vg, vd, vs) = (
-                state[m.gate.index()],
-                state[m.drain.index()],
-                state[m.source.index()],
-            );
-            asm.stamp_mosfet(&mut j, &mut b, m, (vg, vd, vs), batch.lane(k));
-        }
-        let lu = LuFactors::factor(j).map_err(|_| SpiceError::Singular {
-            context: format!("warm seed batch lane {k}"),
-        })?;
-        let x = lu.solve(&b).map_err(|_| SpiceError::Singular {
-            context: format!("warm seed batch lane {k}"),
-        })?;
-        // One damped, clamped Newton step from the shared state — the
-        // same update rule as the full solver, so a seed is always a
-        // legal iterate.
-        let mut seed = vec![0.0; n_nodes];
-        for n in 1..n_nodes {
-            let delta = (x[n - 1] - state[n]).clamp(-opts.max_step, opts.max_step);
-            seed[n] = (state[n] + delta).clamp(opts.v_clamp.0, opts.v_clamp.1);
-        }
-        seeds.push(seed);
-    }
-    Ok(seeds)
 }
 
 /// Like [`dc_operating_point_from`] but additionally returning the

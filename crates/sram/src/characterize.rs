@@ -104,10 +104,6 @@ pub struct CellCharacterizer {
     op_cache: Arc<Mutex<HashMap<OpKey, Arc<Vec<f64>>>>>,
 }
 
-/// Sub-block size of the batched Monte-Carlo warm seeding: one
-/// [`analysis::warm_seed_batch`] call covers this many ΔVth lanes.
-const WARM_SEED_LANES: usize = 32;
-
 /// Cache key for a pre-strike operating point: the supply voltage and the
 /// six per-transistor ΔVth values (in fixed role order), all as exact
 /// f64 bits — two keys are equal iff the circuits are bit-identical.
@@ -434,71 +430,6 @@ impl CellCharacterizer {
             .collect()
     }
 
-    /// Pre-seeds the operating-point cache for a block of Monte-Carlo
-    /// ΔVth samples using the batched SoA model path: the linear MNA
-    /// template is stamped once, every device is evaluated across all
-    /// lanes in one [`analysis::warm_seed_batch`] call, and each sample's
-    /// DC solve then starts from its own single-Newton-step seed —
-    /// typically converging in one confirming iteration.
-    ///
-    /// Purely an accelerator: any failure (singular lane, non-converged
-    /// warm solve) leaves that sample out of the cache and the scalar
-    /// path in [`CellCharacterizer::pre_strike_state`] solves it the old
-    /// way. Each lane depends only on the nominal state and its own
-    /// deltas, so results are independent of thread chunking.
-    fn preseed_op_cache(&self, vdd: Voltage, samples: &[HashMap<TransistorRole, Voltage>]) {
-        let state = CellState::One;
-        let todo: Vec<&HashMap<TransistorRole, Voltage>> = {
-            let cache = lock_recovering(&self.op_cache);
-            samples
-                .iter()
-                .filter(|d| !d.is_empty() && !cache.contains_key(&op_key(vdd, d)))
-                .collect()
-        };
-        if todo.is_empty() {
-            return;
-        }
-        let nominal_cell = SramCell::new(&self.tech, vdd);
-        let Ok(nominal) = self.pre_strike_state(vdd, &HashMap::new(), &nominal_cell, state) else {
-            return;
-        };
-        // Lane matrix in the circuit's MOSFET-id order: transistor roles
-        // map onto ids via the cell, devices outside the role set (none
-        // in a 6T cell) get zero-ΔVth lanes.
-        let circuit = nominal_cell.circuit();
-        let deltas_by_mosfet: Vec<Vec<f64>> = circuit
-            .mosfet_ids()
-            .map(|id| {
-                let role = TransistorRole::ALL
-                    .into_iter()
-                    .find(|&r| nominal_cell.mosfet_id(r) == id);
-                todo.iter()
-                    .map(|d| role.and_then(|r| d.get(&r)).map_or(0.0, |dv| dv.volts()))
-                    .collect()
-            })
-            .collect();
-        let Ok(seeds) =
-            analysis::warm_seed_batch(circuit, &self.options.newton, &nominal, &deltas_by_mosfet)
-        else {
-            return;
-        };
-        for (deltas, lane_seed) in todo.iter().zip(&seeds) {
-            let mut cell = SramCell::new(&self.tech, vdd);
-            for (&role, &dv) in deltas.iter() {
-                let id = cell.mosfet_id(role);
-                let dev = cell.circuit().mosfet(id).with_delta_vth(dv);
-                *cell.circuit_mut().mosfet_mut(id) = dev;
-            }
-            if let Ok(op) =
-                analysis::dc_operating_point_warm(cell.circuit(), &self.options.newton, lane_seed)
-            {
-                finrad_observe::counter_add(finrad_observe::keys::SRAM_DCOP_CACHE_MISSES, 1);
-                lock_recovering(&self.op_cache)
-                    .insert(op_key(vdd, deltas), Arc::new(op.node_voltages().to_vec()));
-            }
-        }
-    }
-
     /// Characterizes one combo: the POF curve at `vdd`.
     ///
     /// For [`Variation::MonteCarlo`] the samples are distributed across
@@ -542,27 +473,17 @@ impl CellCharacterizer {
                         let this = &self;
                         handles.push(scope.spawn(move || {
                             let mut out = Vec::with_capacity(end - start);
-                            // Walk the chunk in sub-blocks sized for the
-                            // batched SoA seeding; each sample keeps its
-                            // own salted RNG stream, so the draws are
-                            // identical to the retired one-at-a-time loop.
-                            for block in (start..end).collect::<Vec<_>>().chunks(WARM_SEED_LANES) {
-                                let block_deltas: Vec<_> = block
-                                    .iter()
-                                    .map(|&i| {
-                                        let mut rng = Xoshiro256pp::salted_stream(
-                                            seed,
-                                            i as u64,
-                                            0x9E37_79B9_7F4A_7C15,
-                                        );
-                                        this.sample_deltas(var, &mut rng)
-                                    })
-                                    .collect();
-                                this.preseed_op_cache(vdd, &block_deltas);
-                                for deltas in &block_deltas {
-                                    let q = this.critical_charge(vdd, combo, deltas)?;
-                                    out.push(q.coulombs());
-                                }
+                            // Each sample draws from its own salted RNG
+                            // stream, so results do not depend on chunking.
+                            for i in start..end {
+                                let mut rng = Xoshiro256pp::salted_stream(
+                                    seed,
+                                    i as u64,
+                                    0x9E37_79B9_7F4A_7C15,
+                                );
+                                let deltas = this.sample_deltas(var, &mut rng);
+                                let q = this.critical_charge(vdd, combo, &deltas)?;
+                                out.push(q.coulombs());
                             }
                             Ok(out)
                         }));

@@ -17,7 +17,6 @@ use std::fmt;
 /// A non-empty subset of `{I1, I2, I3}` — which sensitive transistors were
 /// struck together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StrikeCombo(u8);
 
 impl StrikeCombo {
@@ -116,7 +115,6 @@ impl fmt::Display for StrikeCombo {
 /// assert_eq!(curve.pof(Charge::from_coulombs(9.0e-17)), 1.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PofCurve {
     /// Sorted critical-charge samples, coulombs.
     qcrit_sorted: Vec<f64>,
@@ -189,7 +187,6 @@ impl PofCurve {
 
 /// The POF LUT for one supply voltage: a curve per strike combination.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PofTable {
     vdd: Voltage,
     curves: BTreeMap<StrikeCombo, PofCurve>,

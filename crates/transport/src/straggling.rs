@@ -36,7 +36,6 @@ pub fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// Which fluctuation model to apply on top of the mean energy loss.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum StragglingModel {
     /// No fluctuation: deposit exactly the mean loss. Useful for ablations
     /// and for deterministic tests.

@@ -17,7 +17,7 @@ pub fn round_two_hot_path_keys() {
     finrad_observe::counter_add("spice.newton.jacobian_reuses", 1);
     finrad_observe::counter_add("spice.newton.refactorizations", 1);
     finrad_observe::counter_add("spice.transient.lte_step_growths", 1);
-    finrad_observe::counter_add("finfet.model.batched_evals", 1);
+    finrad_observe::counter_add("spice.newton.warm_starts", 1);
 }
 
 pub fn transport_lut_keys() {

@@ -139,7 +139,7 @@ fn metrics_key_registry_fixture() {
     assert!(index
         .metric_keys
         .contains("spice.transient.lte_step_growths"));
-    assert!(index.metric_keys.contains("finfet.model.batched_evals"));
+    assert!(index.metric_keys.contains("spice.newton.warm_starts"));
     // The transport LUT-build keys are registered too.
     assert!(index.metric_keys.contains("transport.lut.builds"));
     assert!(index.metric_keys.contains("transport.lut.build_seconds"));
