@@ -6,9 +6,10 @@
 //! - **Checkpoint/resume** — per-energy-bin POF tallies are snapshotted
 //!   to a versioned on-disk [`Checkpoint`] at bin boundaries, and
 //!   [`CampaignRunner::resume`] continues an interrupted run to a FIT
-//!   rate bit-identical to an uninterrupted one (bins reuse the exact
-//!   per-bin seed the pipeline derives, `pipeline::bin_seed`, and
-//!   checkpointed POFs round-trip as raw f64 bit patterns).
+//!   rate bit-identical to an uninterrupted one (bins, per-bin seeds and
+//!   the Eq. 8 integration all come from the one bin plan
+//!   `pipeline::BinPlan` that [`SerPipeline`] runs too, and checkpointed
+//!   POFs round-trip as raw f64 bit patterns).
 //! - **Degraded coverage instead of aborts** — a bin whose Monte Carlo
 //!   panics (or is forced to fail by the fault-injection plan) becomes an
 //!   error-tagged [`BinOutcome::Failed`] record excluded from the Eq. 8
@@ -25,7 +26,7 @@ use crate::checkpoint::{
     config_fingerprint, BinRecord, Checkpoint, CheckpointError, CHECKPOINT_VERSION,
 };
 use crate::fit::{fit_rate_checked, FitRate, PofBin};
-use crate::pipeline::{bin_seed, PipelineConfig, SerPipeline};
+use crate::pipeline::{BinPlan, PipelineConfig, SerPipeline};
 use crate::strike::StrikeSimulator;
 use crate::CoreError;
 use finrad_environment::SpectrumBin;
@@ -278,7 +279,7 @@ impl CampaignRunner {
     ///
     /// See [`CampaignError`].
     pub fn run(&self) -> Result<CampaignStatus, CampaignError> {
-        self.execute(Vec::new())
+        self.execute(false)
     }
 
     /// Resumes from the configured checkpoint if one exists (falling back
@@ -292,50 +293,33 @@ impl CampaignRunner {
     /// different configuration, plus everything [`CampaignRunner::run`]
     /// can produce.
     pub fn resume(&self) -> Result<CampaignStatus, CampaignError> {
-        let Some(path) = &self.config.checkpoint_path else {
-            return self.run();
-        };
-        if !path.exists() {
-            return self.run();
-        }
-        let ck = load_checkpoint_classified(path)?;
-        let expected =
-            config_fingerprint(&self.config.pipeline, self.config.particle, self.config.vdd);
-        if ck.fingerprint != expected {
-            return Err(CampaignError::ConfigMismatch {
-                expected,
-                found: ck.fingerprint,
-            });
-        }
-        self.execute(ck.bins)
+        self.execute(true)
     }
 
-    fn execute(&self, prior: Vec<BinRecord>) -> Result<CampaignStatus, CampaignError> {
+    fn execute(&self, resume: bool) -> Result<CampaignStatus, CampaignError> {
         let cfg = &self.config;
+        // A pause that computes nothing, or saves nowhere, would make
+        // every later `resume` pause again at the same place.
+        if cfg
+            .max_bins_per_run
+            .is_some_and(|max| max == 0 || cfg.checkpoint_path.is_none())
+        {
+            return Err(CampaignError::Pipeline(CoreError::InvalidConfig(
+                "max_bins_per_run must be at least 1 and needs a checkpoint_path".into(),
+            )));
+        }
+        let prior = if resume { load_prior(cfg)? } else { Vec::new() };
         // The expensive, deterministic step: re-characterization on resume
         // rebuilds the identical POF table, so tallies from the prior run
         // compose bit-exactly with freshly computed bins.
         let table = self.pipeline.build_pof_table(cfg.vdd)?;
-        let spectrum_bins = self.pipeline.energy_bins(cfg.particle);
-        let total = spectrum_bins.len();
-
-        let mut outcomes = prefill_outcomes(prior, &spectrum_bins)?;
-
-        let array = self.pipeline.build_array();
-        let traversal = self.pipeline.traversal();
-        let lut = self.pipeline.deposit_lut(cfg.particle);
-        let sim = StrikeSimulator::new(
-            &array,
-            traversal,
-            &table,
-            self.pipeline.direction_for(cfg.particle),
-            cfg.pipeline.deposit,
-            cfg.pipeline.flip_model,
-            lut.as_ref(),
-        );
+        let plan = BinPlan::new(&self.pipeline, cfg.particle);
+        let total = plan.bins().len();
+        let mut outcomes = prefill_outcomes(prior, plan.bins())?;
+        let sim = plan.simulator(&table);
 
         let mut new_bins = 0usize;
-        for (k, sb) in spectrum_bins.iter().enumerate() {
+        for k in 0..total {
             if outcomes[k].is_some() {
                 continue;
             }
@@ -346,7 +330,7 @@ impl CampaignRunner {
                     return Ok(CampaignStatus::Paused { completed, total });
                 }
             }
-            outcomes[k] = Some(match supervised_bin(&sim, cfg, k, sb, 0) {
+            outcomes[k] = Some(match supervised_bin(&plan, &sim, cfg, k, 0) {
                 Ok(outcome) => outcome,
                 Err(msg) => BinOutcome::Failed {
                     error: format!("bin {k} panicked: {msg}"),
@@ -358,7 +342,7 @@ impl CampaignRunner {
         if new_bins > 0 {
             self.save_checkpoint(&outcomes)?;
         }
-        integrate_outcomes(cfg.particle, cfg.vdd, outcomes, &array, &spectrum_bins)
+        integrate_outcomes(&plan, cfg.vdd, outcomes)
             .map(|report| CampaignStatus::Complete(Box::new(report)))
     }
 
@@ -384,22 +368,20 @@ impl CampaignRunner {
 /// `Err` carries the captured panic message so the caller decides between
 /// retrying and quarantining.
 pub(crate) fn supervised_bin(
+    plan: &BinPlan,
     sim: &StrikeSimulator<'_>,
     cfg: &CampaignConfig,
     k: usize,
-    sb: &SpectrumBin,
     attempt: u32,
 ) -> Result<BinOutcome, String> {
     #[cfg(not(feature = "fault-injection"))]
-    let _ = attempt;
+    let _ = (cfg, attempt);
     #[cfg(feature = "fault-injection")]
     if cfg.fault_plan.fail_bins.contains(&k) {
         return Ok(BinOutcome::Failed {
             error: format!("injected fault: bin {k} forced to fail"),
         });
     }
-    let seed = bin_seed(cfg.pipeline.seed, k);
-    let iterations = cfg.pipeline.iterations_per_energy;
     let bin_timer = finrad_observe::span(finrad_observe::keys::CAMPAIGN_BIN_SECONDS);
     let result = catch_unwind(AssertUnwindSafe(|| {
         #[cfg(feature = "fault-injection")]
@@ -411,7 +393,7 @@ pub(crate) fn supervised_bin(
                 panic!("injected fault: bin {k} panicked (attempt {attempt})");
             }
         }
-        sim.estimate(cfg.particle, sb.energy, iterations, seed)
+        plan.estimate(sim, k)
     }));
     drop(bin_timer);
     finrad_observe::counter_add(
@@ -438,12 +420,7 @@ pub(crate) fn supervised_bin(
                 est
             };
             #[allow(unused_mut)]
-            let mut bin = PofBin {
-                spectrum: *sb,
-                pof_total: est.total.mean(),
-                pof_seu: est.seu.mean(),
-                pof_mbu: est.mbu.mean(),
-            };
+            let mut bin = plan.pof_bin(k, &est);
             #[cfg(feature = "fault-injection")]
             if cfg.fault_plan.poison_bins.contains(&k) {
                 bin.pof_total = f64::NAN;
@@ -460,8 +437,8 @@ pub(crate) fn supervised_bin(
 }
 
 /// Maps checkpointed bin records back onto a campaign's outcome table
-/// (`None` = not yet computed). Shared by [`CampaignRunner::resume`] and
-/// the campaign service's prepare step.
+/// (`None` = not yet computed). Shared by [`CampaignRunner`] and the
+/// campaign service's prepare step.
 pub(crate) fn prefill_outcomes(
     prior: Vec<BinRecord>,
     spectrum_bins: &[SpectrumBin],
@@ -502,11 +479,9 @@ pub(crate) fn prefill_outcomes(
 /// covered bins plus the explicit [`Coverage`] summary). Shared by
 /// [`CampaignRunner`] and the campaign service.
 pub(crate) fn integrate_outcomes(
-    particle: Particle,
+    plan: &BinPlan,
     vdd: Voltage,
     outcomes: Vec<Option<BinOutcome>>,
-    array: &crate::array::MemoryArray,
-    spectrum_bins: &[SpectrumBin],
 ) -> Result<CampaignReport, CampaignError> {
     let total = outcomes.len();
     let outcomes: Vec<BinOutcome> = outcomes
@@ -527,7 +502,7 @@ pub(crate) fn integrate_outcomes(
     if ok_pof_bins.is_empty() {
         return Err(CampaignError::NoCoverage { total_bins: total });
     }
-    let (fit, non_finite_bins) = fit_rate_checked(&ok_pof_bins, array.footprint());
+    let (fit, non_finite_bins) = fit_rate_checked(&ok_pof_bins, plan.footprint());
     let quarantined_samples: u64 = outcomes
         .iter()
         .map(|o| match o {
@@ -535,7 +510,8 @@ pub(crate) fn integrate_outcomes(
             BinOutcome::Failed { .. } => 0,
         })
         .sum();
-    let total_flux: f64 = spectrum_bins
+    let total_flux: f64 = plan
+        .bins()
         .iter()
         .map(|sb| sb.integral_flux.per_m2_second())
         .sum();
@@ -557,7 +533,7 @@ pub(crate) fn integrate_outcomes(
         },
     };
     Ok(CampaignReport {
-        particle,
+        particle: plan.particle(),
         vdd,
         fit,
         outcomes,
@@ -600,6 +576,26 @@ pub(crate) fn build_checkpoint(
     }
 }
 
+/// The bins a resumed campaign already has: those of the checkpoint at
+/// `config.checkpoint_path`, loaded and checked against the
+/// configuration's fingerprint; none when no path is set or no file
+/// exists. Shared by [`CampaignRunner::resume`] and the campaign
+/// service's prepare step, both of which call it before characterizing.
+pub(crate) fn load_prior(config: &CampaignConfig) -> Result<Vec<BinRecord>, CampaignError> {
+    let Some(path) = config.checkpoint_path.as_ref().filter(|p| p.exists()) else {
+        return Ok(Vec::new());
+    };
+    let ck = load_checkpoint_classified(path)?;
+    let expected = config_fingerprint(&config.pipeline, config.particle, config.vdd);
+    if ck.fingerprint != expected {
+        return Err(CampaignError::ConfigMismatch {
+            expected,
+            found: ck.fingerprint,
+        });
+    }
+    Ok(ck.bins)
+}
+
 /// Loads a checkpoint, classifying partial writes as the typed
 /// [`CampaignError::CheckpointTruncated`] instead of generic corruption.
 ///
@@ -609,7 +605,7 @@ pub(crate) fn build_checkpoint(
 /// latter is disambiguated here without touching the parser: a complete
 /// snapshot (`Checkpoint::to_text`) always ends with a newline, so a
 /// `Corrupt` file whose last byte is not `\n` was interrupted mid-write.
-pub(crate) fn load_checkpoint_classified(path: &Path) -> Result<Checkpoint, CampaignError> {
+fn load_checkpoint_classified(path: &Path) -> Result<Checkpoint, CampaignError> {
     match Checkpoint::load(path) {
         Err(CheckpointError::Truncated) => Err(CampaignError::CheckpointTruncated {
             path: path.to_path_buf(),

@@ -7,7 +7,7 @@
 //! the FIT rate with Eq. 8.
 
 use crate::array::{DataPattern, MemoryArray};
-use crate::fit::{fit_rate, FitRate, PofBin};
+use crate::fit::{fit_rate, PofBin};
 use crate::strike::{ArrayPofEstimate, DepositMode, DirectionLaw, FlipModel, StrikeSimulator};
 use crate::CoreError;
 use finrad_environment::{AlphaSpectrum, ProtonSpectrum, Spectrum, SpectrumBin};
@@ -18,7 +18,7 @@ use finrad_transport::fin::{FinGeometry, FinTraversal};
 use finrad_transport::lut::EhpLut;
 use finrad_transport::stopping::StoppingModel;
 use finrad_transport::straggling::StragglingModel;
-use finrad_units::{Energy, Particle, Voltage};
+use finrad_units::{Area, Energy, Particle, Voltage};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone)]
@@ -103,7 +103,7 @@ impl PipelineConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), CoreError> {
+    pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(CoreError::InvalidConfig(
                 "array dimensions must be non-zero".into(),
@@ -224,12 +224,6 @@ impl SerPipeline {
         )
     }
 
-    /// The LUT the configured deposit mode needs for `particle`: built in
-    /// [`DepositMode::LutMean`], `None` otherwise.
-    pub(crate) fn deposit_lut(&self, particle: Particle) -> Option<EhpLut> {
-        (self.config.deposit == DepositMode::LutMean).then(|| self.build_ehp_lut(particle))
-    }
-
     /// The ground-level spectrum for `particle`.
     pub fn spectrum(&self, particle: Particle) -> Box<dyn Spectrum> {
         match particle {
@@ -285,28 +279,14 @@ impl SerPipeline {
         table: &PofTable,
         energies: &[Energy],
     ) -> Vec<(Energy, ArrayPofEstimate)> {
-        let array = self.build_array();
-        let lut = self.deposit_lut(particle);
-        let sim = StrikeSimulator::new(
-            &array,
-            self.traversal(),
-            table,
-            self.direction_for(particle),
-            self.config.deposit,
-            self.config.flip_model,
-            lut.as_ref(),
-        );
+        let plan = BinPlan::new(self, particle);
+        let sim = plan.simulator(table);
         energies
             .iter()
             .enumerate()
             .map(|(k, &e)| {
-                let est = sim.estimate(
-                    particle,
-                    e,
-                    self.config.iterations_per_energy,
-                    self.config.seed.wrapping_add(k as u64 * 7919),
-                );
-                (e, est)
+                let seed = self.config.seed.wrapping_add(k as u64 * 7919);
+                (e, sim.estimate(particle, e, plan.iterations, seed))
             })
             .collect()
     }
@@ -325,64 +305,109 @@ impl SerPipeline {
     /// Full pipeline reusing a prebuilt POF table (`vdd` must match the
     /// table's characterization voltage).
     pub fn run_with_table(&self, particle: Particle, vdd: Voltage, table: &PofTable) -> SerReport {
-        self.run_with_lut(particle, vdd, table, self.deposit_lut(particle).as_ref())
+        BinPlan::new(self, particle).report(vdd, table)
+    }
+}
+
+/// One particle's Eq. 8 fold minus the POF table: the spectrum bins, the
+/// array, the strike settings, the deposit-mode LUT, the iteration budget
+/// and the seed. Every driver runs its bins through a plan (the pipeline,
+/// [`crate::sweep::VddSweep`] at every V_dd, the campaign runner and the
+/// service), so bin `k` gets the same energy, seed and simulator wherever
+/// it runs, which is what makes a resumed or sharded campaign
+/// bit-identical to an uninterrupted pipeline run.
+pub(crate) struct BinPlan {
+    particle: Particle,
+    bins: Vec<SpectrumBin>,
+    array: MemoryArray,
+    traversal: FinTraversal,
+    direction: DirectionLaw,
+    deposit: DepositMode,
+    flip_model: FlipModel,
+    /// Built here, and only in [`DepositMode::LutMean`].
+    lut: Option<EhpLut>,
+    iterations: u64,
+    seed: u64,
+}
+
+impl BinPlan {
+    pub(crate) fn new(pipeline: &SerPipeline, particle: Particle) -> Self {
+        let config = &pipeline.config;
+        Self {
+            particle,
+            bins: pipeline.energy_bins(particle),
+            array: pipeline.build_array(),
+            traversal: pipeline.traversal(),
+            direction: pipeline.direction_for(particle),
+            deposit: config.deposit,
+            flip_model: config.flip_model,
+            lut: (config.deposit == DepositMode::LutMean).then(|| pipeline.build_ehp_lut(particle)),
+            iterations: config.iterations_per_energy,
+            seed: config.seed,
+        }
     }
 
-    /// [`Self::run_with_table`] with the deposit-mode LUT supplied by the
-    /// caller (see [`Self::deposit_lut`]), so a sweep builds it once per
-    /// particle instead of once per voltage.
-    pub(crate) fn run_with_lut(
-        &self,
-        particle: Particle,
-        vdd: Voltage,
-        table: &PofTable,
-        lut: Option<&EhpLut>,
-    ) -> SerReport {
-        let bins = self.energy_bins(particle);
-        let array = self.build_array();
-        let sim = StrikeSimulator::new(
-            &array,
-            self.traversal(),
+    pub(crate) fn particle(&self) -> Particle {
+        self.particle
+    }
+
+    pub(crate) fn bins(&self) -> &[SpectrumBin] {
+        &self.bins
+    }
+
+    pub(crate) fn footprint(&self) -> Area {
+        self.array.footprint()
+    }
+
+    /// The strike simulator over `table` (one V_dd).
+    pub(crate) fn simulator<'a>(&'a self, table: &'a PofTable) -> StrikeSimulator<'a> {
+        StrikeSimulator::new(
+            &self.array,
+            self.traversal.clone(),
             table,
-            self.direction_for(particle),
-            self.config.deposit,
-            self.config.flip_model,
-            lut,
-        );
-        let pof_bins: Vec<PofBin> = bins
-            .iter()
-            .enumerate()
-            .map(|(k, sb)| {
-                let est = sim.estimate(
-                    particle,
-                    sb.energy,
-                    self.config.iterations_per_energy,
-                    bin_seed(self.config.seed, k),
-                );
-                PofBin {
-                    spectrum: *sb,
-                    pof_total: est.total.mean(),
-                    pof_seu: est.seu.mean(),
-                    pof_mbu: est.mbu.mean(),
-                }
-            })
+            self.direction,
+            self.deposit,
+            self.flip_model,
+            self.lut.as_ref(),
+        )
+    }
+
+    /// Bin `k`'s strike Monte Carlo at its own seed, [`bin_seed`].
+    pub(crate) fn estimate(&self, sim: &StrikeSimulator<'_>, k: usize) -> ArrayPofEstimate {
+        let seed = bin_seed(self.seed, k);
+        sim.estimate(self.particle, self.bins[k].energy, self.iterations, seed)
+    }
+
+    /// Bin `k`'s Eq. 8 term from its estimate.
+    pub(crate) fn pof_bin(&self, k: usize, est: &ArrayPofEstimate) -> PofBin {
+        PofBin {
+            spectrum: self.bins[k],
+            pof_total: est.total.mean(),
+            pof_seu: est.seu.mean(),
+            pof_mbu: est.mbu.mean(),
+        }
+    }
+
+    /// Every bin, unsupervised, integrated with Eq. 8.
+    pub(crate) fn report(&self, vdd: Voltage, table: &PofTable) -> SerReport {
+        let sim = self.simulator(table);
+        let bins: Vec<PofBin> = (0..self.bins.len())
+            .map(|k| self.pof_bin(k, &self.estimate(&sim, k)))
             .collect();
-        let fit: FitRate = fit_rate(&pof_bins, array.footprint());
+        let fit = fit_rate(&bins, self.footprint());
         SerReport {
-            particle,
+            particle: self.particle,
             vdd,
             fit_total: fit.total,
             fit_seu: fit.seu,
             fit_mbu: fit.mbu,
-            bins: pof_bins,
+            bins,
         }
     }
 }
 
-/// The strike Monte-Carlo seed of energy bin `k`. Campaign bins use the
-/// same derivation, which is what makes a resumed campaign bit-identical
-/// to an uninterrupted pipeline run.
-pub(crate) fn bin_seed(seed: u64, k: usize) -> u64 {
+/// The strike Monte-Carlo seed of energy bin `k`.
+fn bin_seed(seed: u64, k: usize) -> u64 {
     seed.wrapping_add(0xB10C + k as u64 * 6271)
 }
 

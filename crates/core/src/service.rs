@@ -31,7 +31,8 @@
 //!   items and flushes each unfinished job's partial checkpoint, so a
 //!   killed daemon resumes to a bit-identical [`CampaignReport`].
 //!
-//! Determinism: bins use the same per-bin seed derivation as
+//! Determinism: bins run through the same bin plan (bins, per-bin seeds,
+//! strike settings) as
 //! [`CampaignRunner`](crate::campaign::CampaignRunner) and integration
 //! folds outcomes in bin order, so the report is bit-identical regardless
 //! of worker count, scheduling order, retries, or interruption.
@@ -39,23 +40,19 @@
 //! Architecture details and the supervision state machine are documented
 //! in `docs/service.md`.
 
-use crate::array::MemoryArray;
 use crate::campaign::{
-    build_checkpoint, integrate_outcomes, load_checkpoint_classified, payload_message,
-    prefill_outcomes, supervised_bin, BinOutcome, CampaignConfig, CampaignError, CampaignReport,
+    build_checkpoint, integrate_outcomes, load_prior, payload_message, prefill_outcomes,
+    supervised_bin, BinOutcome, CampaignConfig, CampaignError, CampaignReport,
 };
 use crate::checkpoint::config_fingerprint;
-use crate::pipeline::SerPipeline;
-use crate::strike::StrikeSimulator;
+use crate::pipeline::{BinPlan, SerPipeline};
 use crate::CoreError;
-use finrad_environment::SpectrumBin;
 use finrad_numerics::rng::{Rng, Xoshiro256pp};
 use finrad_observe::keys;
 use finrad_spice::cancel::install_scoped;
 use finrad_spice::sync::{lock_recovering, wait_recovering, wait_timeout_recovering};
 use finrad_spice::{CancelToken, SpiceError};
 use finrad_sram::PofTable;
-use finrad_transport::lut::EhpLut;
 use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
@@ -213,25 +210,14 @@ pub fn backoff_schedule(
 /// Everything the bin stage needs, built once per job by the prepare
 /// step. All fields are plain owned data, shared across workers by `Arc`.
 struct Prepared {
-    pipeline: SerPipeline,
+    plan: BinPlan,
     table: PofTable,
-    array: MemoryArray,
-    lut: Option<EhpLut>,
-    bins: Vec<SpectrumBin>,
 }
 
 impl Prepared {
     fn run_bin(&self, cfg: &CampaignConfig, k: usize, attempt: u32) -> Result<BinOutcome, String> {
-        let sim = StrikeSimulator::new(
-            &self.array,
-            self.pipeline.traversal(),
-            &self.table,
-            self.pipeline.direction_for(cfg.particle),
-            cfg.pipeline.deposit,
-            cfg.pipeline.flip_model,
-            self.lut.as_ref(),
-        );
-        supervised_bin(&sim, cfg, k, &self.bins[k], attempt)
+        let sim = self.plan.simulator(&self.table);
+        supervised_bin(&self.plan, &sim, cfg, k, attempt)
     }
 }
 
@@ -662,44 +648,17 @@ fn classify_setup(e: CoreError) -> JobError {
     }
 }
 
-/// The prepare stage, run off-lock: characterize the cell, build the
-/// array/traversal/LUT, and prefill outcomes from a checkpoint if one
-/// exists on disk.
+/// The prepare stage, run off-lock: load and check the checkpoint if one
+/// exists on disk, characterize the cell, build the bin plan, and prefill
+/// outcomes from the checkpoint.
 fn prepare_job(cfg: &CampaignConfig) -> Result<(Prepared, Vec<Option<BinOutcome>>), JobError> {
+    let setup = |e: CampaignError| JobError::Setup(e.to_string());
+    let prior = load_prior(cfg).map_err(setup)?;
     let pipeline = SerPipeline::new(cfg.pipeline.clone());
     let table = pipeline.build_pof_table(cfg.vdd).map_err(classify_setup)?;
-    let bins = pipeline.energy_bins(cfg.particle);
-    let array = pipeline.build_array();
-    let lut = pipeline.deposit_lut(cfg.particle);
-    let mut outcomes = vec![None; bins.len()];
-    if let Some(path) = &cfg.checkpoint_path {
-        if path.exists() {
-            let ck =
-                load_checkpoint_classified(path).map_err(|e| JobError::Setup(e.to_string()))?;
-            let expected = config_fingerprint(&cfg.pipeline, cfg.particle, cfg.vdd);
-            if ck.fingerprint != expected {
-                return Err(JobError::Setup(
-                    CampaignError::ConfigMismatch {
-                        expected,
-                        found: ck.fingerprint,
-                    }
-                    .to_string(),
-                ));
-            }
-            outcomes =
-                prefill_outcomes(ck.bins, &bins).map_err(|e| JobError::Setup(e.to_string()))?;
-        }
-    }
-    Ok((
-        Prepared {
-            pipeline,
-            table,
-            array,
-            lut,
-            bins,
-        },
-        outcomes,
-    ))
+    let plan = BinPlan::new(&pipeline, cfg.particle);
+    let outcomes = prefill_outcomes(prior, plan.bins()).map_err(setup)?;
+    Ok((Prepared { plan, table }, outcomes))
 }
 
 fn do_prepare(shared: &Arc<Shared>, id: JobId) {
@@ -813,18 +772,12 @@ fn complete_job(shared: &Arc<Shared>, id: JobId, work: CompletionWork) {
     }
     let result: JobResult = match flush_error {
         Some(e) => Err(e),
-        None => integrate_outcomes(
-            work.config.particle,
-            work.config.vdd,
-            work.outcomes,
-            &work.prepared.array,
-            &work.prepared.bins,
-        )
-        .map(Arc::new)
-        .map_err(|e| match e {
-            CampaignError::NoCoverage { total_bins } => JobError::NoCoverage { total_bins },
-            other => JobError::Setup(other.to_string()),
-        }),
+        None => integrate_outcomes(&work.prepared.plan, work.config.vdd, work.outcomes)
+            .map(Arc::new)
+            .map_err(|e| match e {
+                CampaignError::NoCoverage { total_bins } => JobError::NoCoverage { total_bins },
+                other => JobError::Setup(other.to_string()),
+            }),
     };
     let mut st = shared.lock();
     let fingerprint = match st.jobs.get(&id) {

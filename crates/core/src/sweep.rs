@@ -3,10 +3,10 @@
 //!
 //! [`VddSweep`] runs the full pipeline over a list of supply voltages for
 //! both particle species, reusing one POF characterization per voltage
-//! (the expensive step) and one transport LUT per particle, and returns
-//! the FIT/MBU series the figures plot.
+//! (the expensive step) and one bin plan (bins, array, transport LUT) per
+//! particle, and returns the FIT/MBU series the figures plot.
 
-use crate::pipeline::{SerPipeline, SerReport};
+use crate::pipeline::{BinPlan, SerPipeline, SerReport};
 use crate::CoreError;
 use finrad_units::{Particle, Voltage};
 
@@ -46,16 +46,19 @@ impl VddSweep {
     /// Panics if `vdds` is empty.
     pub fn run(pipeline: &SerPipeline, vdds: &[Voltage]) -> Result<Self, CoreError> {
         assert!(!vdds.is_empty(), "sweep needs at least one voltage");
-        // The transport LUT does not depend on V_dd: one per particle.
-        let proton_lut = pipeline.deposit_lut(Particle::Proton);
-        let alpha_lut = pipeline.deposit_lut(Particle::Alpha);
+        // Before the plans: building the array panics on a zero size.
+        pipeline.config().validate()?;
+        // Bins, array and transport LUT do not depend on V_dd: one plan
+        // per particle.
+        let proton = BinPlan::new(pipeline, Particle::Proton);
+        let alpha = BinPlan::new(pipeline, Particle::Alpha);
         let mut points = Vec::with_capacity(vdds.len());
         for &vdd in vdds {
             let table = pipeline.build_pof_table(vdd)?;
             points.push(SweepPoint {
                 vdd,
-                proton: pipeline.run_with_lut(Particle::Proton, vdd, &table, proton_lut.as_ref()),
-                alpha: pipeline.run_with_lut(Particle::Alpha, vdd, &table, alpha_lut.as_ref()),
+                proton: proton.report(vdd, &table),
+                alpha: alpha.report(vdd, &table),
             });
         }
         Ok(Self { points })

@@ -1309,43 +1309,11 @@ pub fn transient_with_trace(
 /// Like [`transient`] but starting from a full node-voltage vector
 /// (indexed by node id, entry 0 = ground) — typically a solved
 /// [`OpPoint::node_voltages`], so the run begins from the true pre-strike
-/// operating point instead of idealized rail voltages.
-///
-/// # Errors
-///
-/// Same as [`transient`].
-///
-/// # Panics
-///
-/// Panics if `state` is shorter than the circuit's node count.
-pub fn transient_from_state(
-    ckt: &Circuit,
-    plan: &TimeStepPlan,
-    state: &[f64],
-    probes: &[NodeId],
-    opts: &NewtonOptions,
-) -> Result<TransientResult, SpiceError> {
-    assert!(
-        state.len() >= ckt.node_count(),
-        "initial state has {} entries for {} nodes",
-        state.len(),
-        ckt.node_count()
-    );
-    run_transient(
-        ckt,
-        plan,
-        state[..ckt.node_count()].to_vec(),
-        probes,
-        opts,
-        None,
-    )
-    .map(|(res, _trace, _stopped)| res)
-}
-
-/// Like [`transient_from_state`], but consulting `stop` after every
-/// accepted step: when it returns `true` the remaining plan is skipped and
-/// the result ends at that sample. Returns the result and whether the run
-/// was cut short.
+/// operating point instead of idealized rail voltages — and consulting
+/// `stop` after every accepted step: when it returns `true` the remaining
+/// plan is skipped and the result ends at that sample. Returns the result
+/// and whether the run was cut short (a `stop` that never fires runs the
+/// whole plan).
 ///
 /// The predicate sees the timestamp and the full node-voltage vector of
 /// the accepted step. It is the hook for settle-phase early exits in
@@ -2042,7 +2010,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_from_state_matches_ic_map() {
+    fn transient_until_from_state_matches_ic_map() {
         let mut ckt = Circuit::new();
         let n = ckt.node("n");
         ckt.add_resistor(n, Circuit::GROUND, 1.0e3);
@@ -2055,7 +2023,9 @@ mod tests {
         ic.insert(n, 0.7);
         let via_map = transient(&ckt, &plan, &ic, &[n], &opts()).unwrap();
         let state = vec![0.0, 0.7];
-        let via_state = transient_from_state(&ckt, &plan, &state, &[n], &opts()).unwrap();
+        let (via_state, stopped) =
+            transient_until(&ckt, &plan, &state, &[n], &opts(), |_, _| false).unwrap();
+        assert!(!stopped);
         let (ta, va) = via_map.last_sample(0).unwrap();
         let (tb, vb) = via_state.last_sample(0).unwrap();
         assert_eq!(ta, tb);

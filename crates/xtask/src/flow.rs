@@ -71,7 +71,7 @@ const WAIT_CALLS: [&str; 4] = [
 /// blocking closure). SPICE solver entry points count: a solve under a held
 /// lock serializes the whole worker pool. `save` covers checkpoint I/O;
 /// `load` is omitted (too many innocuous `load` methods exist).
-const BLOCKING_SEEDS: [&str; 20] = [
+const BLOCKING_SEEDS: [&str; 19] = [
     "join",
     "catch_unwind",
     "sleep",
@@ -89,7 +89,6 @@ const BLOCKING_SEEDS: [&str; 20] = [
     "dc_operating_point_with_recovery",
     "transient",
     "transient_with_trace",
-    "transient_from_state",
     "transient_until",
     "run_transient",
 ];

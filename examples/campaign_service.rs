@@ -31,12 +31,18 @@ fn main() {
         job_deadline: Some(Duration::from_secs(120)),
     });
 
-    let mut cfg = campaign();
+    let cfg = campaign();
     #[cfg(feature = "fault-injection")]
-    {
-        cfg.fault_plan.panic_bins = vec![(2, 2)];
+    let cfg = {
         println!("fault-injection: bin 2 will panic twice before succeeding");
-    }
+        CampaignConfig {
+            fault_plan: finrad::core::campaign::FaultPlan {
+                panic_bins: vec![(2, 2)],
+                ..Default::default()
+            },
+            ..cfg
+        }
+    };
 
     println!("submitting the campaign to a 4-worker service...");
     let first = service.submit(cfg.clone());
