@@ -289,7 +289,7 @@ fn bench_times(text: &str) -> Result<Vec<(String, f64)>, String> {
         .ok_or_else(|| "bench entry missing name/ns_per_iter".to_owned())
 }
 
-/// Differential mode, mirroring the lint `--diff-base` design: compares
+/// Differential mode (`cargo xtask bench --diff-base`): compares
 /// `current` against a baseline trajectory document and returns one
 /// message per [`PINNED_BENCHES`] entry that regressed beyond
 /// [`DIFF_MAX_REGRESSION`] (empty means no regressions). A pinned bench

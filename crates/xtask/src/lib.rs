@@ -26,7 +26,8 @@
 //! * `shared-state-audit` — no `static mut`, `thread_local!`, or
 //!   `Ordering::Relaxed` in library code.
 //! * `checkpoint-schema-drift` — the checkpoint codec cannot change without
-//!   a `CHECKPOINT_VERSION` bump (fingerprint pinned in the baseline).
+//!   a `CHECKPOINT_VERSION` bump (fingerprint pinned in
+//!   `xtask/lint-baseline.toml`, see [`baseline`]).
 //! * `unused-suppression` — `allow(...)` directives must still fire.
 //!
 //! Phase 3 runs the flow-sensitive concurrency families (see [`flow`]),
@@ -44,9 +45,9 @@
 //! * `result-discard-audit` — `Result`s from workspace functions discarded
 //!   via `let _ = …` or bound but never read.
 //!
-//! Known debt is budgeted in `xtask/lint-baseline.toml` (see [`baseline`]);
-//! individual sites are suppressed with `// finrad-lint: allow(<id>)`. The
-//! full policy lives in `docs/static-analysis.md`.
+//! There are no budgets: any diagnostic fails the gate. Individual sites
+//! are suppressed with `// finrad-lint: allow(<id>)`. The full policy lives
+//! in `docs/static-analysis.md`.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -80,19 +81,6 @@ pub fn lint_file_source(rel_path: &Path, text: &str, unit_safety: bool) -> Vec<V
     lints::lint_file(rel_path, &scrubbed, &lexed, unit_safety, None)
 }
 
-/// Lints one file's source text against a phase-1 workspace index,
-/// enabling the cross-file families.
-pub fn lint_file_source_with_index(
-    rel_path: &Path,
-    text: &str,
-    unit_safety: bool,
-    index: &WorkspaceIndex,
-) -> Vec<Violation> {
-    let scrubbed = source::scrub(text);
-    let lexed = lexer::lex(text);
-    lints::lint_file(rel_path, &scrubbed, &lexed, unit_safety, Some(index))
-}
-
 /// Result of scanning a source tree.
 #[derive(Debug)]
 pub struct ScanResult {
@@ -100,8 +88,8 @@ pub struct ScanResult {
     pub files_scanned: usize,
     /// All per-file *and* flow-family violations, ordered by (file, line,
     /// col). The workspace-level `checkpoint-schema-drift` check is *not*
-    /// included — it needs the baseline, so the caller runs
-    /// [`lints::checkpoint_drift`] against `index`.
+    /// included — it needs the pin from [`baseline::load`], so the caller
+    /// runs [`lints::checkpoint_drift`] against `index`.
     pub violations: Vec<Violation>,
     /// The phase-1 symbol index the lints ran against.
     pub index: WorkspaceIndex,
@@ -139,24 +127,45 @@ pub fn scan_tree(root: &Path) -> io::Result<ScanResult> {
     }
     files.sort();
 
+    let mut sources = Vec::with_capacity(files.len());
+    for (path, unit_safety) in files {
+        let text = std::fs::read_to_string(&path)?;
+        let rel = path.strip_prefix(root).unwrap_or(&path).to_path_buf();
+        sources.push((rel, text, unit_safety));
+    }
+    Ok(ScanResult {
+        files_scanned: sources.len(),
+        violations: lint_sources(&sources, &index),
+        index,
+    })
+}
+
+/// Lints `(repo-relative path, text, unit_safety)` sources as one
+/// workspace against `index`: every per-file family, the flow families
+/// across all of them, then suppression. This is the whole of
+/// [`scan_tree`] after the file walk, so a fixture linted here behaves
+/// exactly as it would inside the tree. Violations are ordered by (file,
+/// line, col).
+pub fn lint_sources(sources: &[(PathBuf, String, bool)], index: &WorkspaceIndex) -> Vec<Violation> {
     // Pass 1: lex + scrub everything, collect raw per-file violations.
-    let mut units: Vec<flow::FileUnit> = Vec::with_capacity(files.len());
-    let mut scrubbed: Vec<source::ScrubbedSource> = Vec::with_capacity(files.len());
-    let mut raw: Vec<Vec<Violation>> = Vec::with_capacity(files.len());
-    for (path, unit_safety) in &files {
-        let text = std::fs::read_to_string(path)?;
-        let rel = path.strip_prefix(root).unwrap_or(path).to_path_buf();
-        let src = source::scrub(&text);
-        let lexed = lexer::lex(&text);
+    let mut units: Vec<flow::FileUnit> = Vec::with_capacity(sources.len());
+    let mut scrubbed: Vec<source::ScrubbedSource> = Vec::with_capacity(sources.len());
+    let mut raw: Vec<Vec<Violation>> = Vec::with_capacity(sources.len());
+    for (rel, text, unit_safety) in sources {
+        let src = source::scrub(text);
+        let lexed = lexer::lex(text);
         raw.push(lints::lint_file_raw(
-            &rel,
+            rel,
             &src,
             &lexed,
             *unit_safety,
-            Some(&index),
+            Some(index),
         ));
         scrubbed.push(src);
-        units.push(flow::FileUnit { path: rel, lexed });
+        units.push(flow::FileUnit {
+            path: rel.clone(),
+            lexed,
+        });
     }
 
     // Pass 2: the whole-workspace flow families, merged into the owning
@@ -176,11 +185,7 @@ pub fn scan_tree(root: &Path) -> io::Result<ScanResult> {
         ));
     }
     violations.sort_by(|a, b| (&a.file, a.line, a.col).cmp(&(&b.file, b.line, b.col)));
-    Ok(ScanResult {
-        files_scanned: files.len(),
-        violations,
-        index,
-    })
+    violations
 }
 
 /// Recursively collects `.rs` files under `dir`, skipping `bin/` subtrees.

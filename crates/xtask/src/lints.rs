@@ -18,6 +18,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
+use crate::baseline::BASELINE_PATH;
 use crate::index::{WorkspaceIndex, CHECKPOINT_FILE};
 use crate::lexer::{LexedFile, TokenKind};
 use crate::source::ScrubbedSource;
@@ -48,7 +49,8 @@ pub enum LintId {
     /// code — shared-state hazards for the parallel Monte-Carlo paths.
     SharedStateAudit,
     /// The checkpoint (de)serialization region changed without a
-    /// `CHECKPOINT_VERSION` bump (fingerprint recorded in the baseline).
+    /// `CHECKPOINT_VERSION` bump (fingerprint pinned in
+    /// `xtask/lint-baseline.toml`).
     CheckpointSchemaDrift,
     /// An `allow(...)` directive that no longer suppresses anything.
     UnusedSuppression,
@@ -68,8 +70,7 @@ pub enum LintId {
 }
 
 impl LintId {
-    /// The stable string ID used in allow directives, the baseline file and
-    /// the JSON report.
+    /// The stable string ID used in allow directives and the reports.
     pub fn as_str(self) -> &'static str {
         match self {
             LintId::UnitSafety => "unit-safety",
@@ -87,20 +88,6 @@ impl LintId {
             LintId::CancellationResponsiveness => "cancellation-responsiveness",
             LintId::ResultDiscardAudit => "result-discard-audit",
         }
-    }
-
-    /// Whether violations of this family may be parked in the ratchet
-    /// baseline. Determinism breaks, schema drift, stale suppressions, and
-    /// potential deadlocks must be fixed, never budgeted.
-    pub fn baselineable(self) -> bool {
-        !matches!(
-            self,
-            LintId::RngDeterminism
-                | LintId::RawEscapeAudit
-                | LintId::CheckpointSchemaDrift
-                | LintId::UnusedSuppression
-                | LintId::LockOrderAudit
-        )
     }
 
     /// Every lint family, in reporting order.
@@ -678,9 +665,10 @@ fn lint_shared_state(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
 // ---------------------------------------------------------------------------
 
 /// Compares the live checkpoint schema in `index` against the
-/// `(fingerprint, format-version)` pair recorded in the baseline. Returns
-/// workspace-level violations anchored at the `CHECKPOINT_VERSION`
-/// constant.
+/// `(fingerprint, format-version)` pin from `xtask/lint-baseline.toml`.
+/// Returns workspace-level violations anchored at the `CHECKPOINT_VERSION`
+/// constant. Once the version is bumped, the message carries the exact
+/// pin lines to record.
 pub fn checkpoint_drift(index: &WorkspaceIndex, recorded: Option<(u64, u32)>) -> Vec<Violation> {
     let file = PathBuf::from(CHECKPOINT_FILE);
     let Some(schema) = &index.checkpoint else {
@@ -700,21 +688,24 @@ pub fn checkpoint_drift(index: &WorkspaceIndex, recorded: Option<(u64, u32)>) ->
         col: schema.version_col,
         message,
     };
+    let record = format!(
+        "write `fingerprint = \"{:016x}\"` and `format-version = {}` under [checkpoint-schema] in {BASELINE_PATH}",
+        schema.fingerprint, schema.version
+    );
     match recorded {
-        None => vec![at(
-            "no recorded checkpoint schema fingerprint in xtask/lint-baseline.toml; run `cargo xtask lint --fix-allowlist` to record it"
-                .to_string(),
-        )],
+        None => vec![at(format!(
+            "no recorded checkpoint schema fingerprint; {record}"
+        ))],
         Some((fp, ver)) if fp != schema.fingerprint && ver == schema.version => vec![at(format!(
-            "checkpoint (de)serialization code changed (fingerprint {:016x} -> {:016x}) without a CHECKPOINT_VERSION bump; bump the version and refresh with `cargo xtask lint --fix-allowlist`",
+            "checkpoint (de)serialization code changed (fingerprint {:016x} -> {:016x}) without a CHECKPOINT_VERSION bump; bump the version, then record the pin this lint prints",
             fp, schema.fingerprint
         ))],
         Some((fp, _)) if fp != schema.fingerprint => vec![at(format!(
-            "CHECKPOINT_VERSION bumped to {}; refresh the recorded schema fingerprint with `cargo xtask lint --fix-allowlist`",
+            "CHECKPOINT_VERSION bumped to {}; {record}",
             schema.version
         ))],
         Some((_, ver)) if ver != schema.version => vec![at(format!(
-            "recorded format-version {} does not match CHECKPOINT_VERSION {}; refresh with `cargo xtask lint --fix-allowlist`",
+            "recorded format-version {} does not match CHECKPOINT_VERSION {}; {record}",
             ver, schema.version
         ))],
         Some(_) => Vec::new(),
@@ -860,7 +851,7 @@ fn raw_escape_sanctioned(path: &Path) -> bool {
 /// The escapes exist so the units crate can be built and serialized; in
 /// physics code they reintroduce exactly the raw-f64 plumbing the
 /// `Quantity` types eliminate, so every use outside
-/// [`RAW_ESCAPE_SANCTIONED`] is a violation (pinned at `--max 0` in CI).
+/// [`RAW_ESCAPE_SANCTIONED`] is a violation.
 /// Test code is exempt — asserting on raw SI values is legitimate.
 fn lint_raw_escape(path: &Path, lexed: &LexedFile, out: &mut Vec<Violation>) {
     if raw_escape_sanctioned(path) {
@@ -1170,11 +1161,15 @@ mod tests {
             .message
             .contains("without a CHECKPOINT_VERSION bump"));
         assert_eq!(drifted[0].line, schema.version_line);
+        let pin = format!(
+            "`fingerprint = \"{:016x}\"` and `format-version = 2`",
+            schema.fingerprint
+        );
         let bumped = checkpoint_drift(&ix, Some((schema.fingerprint ^ 1, 1)));
-        assert!(bumped[0]
-            .message
-            .contains("refresh the recorded schema fingerprint"));
+        assert!(bumped[0].message.contains("CHECKPOINT_VERSION bumped to 2"));
+        assert!(bumped[0].message.contains(&pin), "{}", bumped[0].message);
         let unrecorded = checkpoint_drift(&ix, None);
         assert!(unrecorded[0].message.contains("no recorded checkpoint"));
+        assert!(unrecorded[0].message.contains(&pin));
     }
 }

@@ -7,53 +7,42 @@
 
 use std::fmt::Write as _;
 
-use crate::baseline::BaselineCheck;
-use crate::lints::LintId;
+use crate::lints::{LintId, Violation};
 
 /// Schema identifier of the report format. Bump the `/N` suffix on any
 /// field change.
-pub const REPORT_SCHEMA: &str = "finrad-lint-report/3";
+pub const REPORT_SCHEMA: &str = "finrad-lint-report/4";
 
-/// Diagnostic severity: over-budget violations are `error`, baselined ones
-/// are `note`.
-const LEVELS: [&str; 2] = ["error", "note"];
-
-/// Serializes the outcome of a lint run as a JSON document.
+/// Serializes a lint run as a JSON document; the run passes exactly when
+/// `violations` is empty.
 ///
-/// Schema (`finrad-lint-report/3` — `/3` widened `counts` to the four
-/// flow-sensitive concurrency families):
+/// Schema (`finrad-lint-report/4` — `/4` removed the per-file budget
+/// fields along with the budgets):
 ///
 /// ```json
 /// {
-///   "schema": "finrad-lint-report/3",
+///   "schema": "finrad-lint-report/4",
 ///   "files_scanned": 42,
-///   "pass": true,
-///   "counts": {"unit-safety": 0, "rng-determinism": 0, ...},
+///   "pass": false,
+///   "counts": {"unit-safety": 0, "rng-determinism": 1, ...},
 ///   "diagnostics": [
-///     {"lint": "...", "level": "error", "file": "...", "line": 1,
-///      "col": 5, "message": "..."}
-///   ],
-///   "stale_baseline": [{"lint": "...", "file": "...", "budget": 2, "observed": 1}]
+///     {"lint": "rng-determinism", "level": "error", "file": "...",
+///      "line": 1, "col": 5, "message": "..."}
+///   ]
 /// }
 /// ```
 ///
 /// `counts` has one member per lint family (all fourteen, zero included);
-/// `diagnostics` holds over-budget violations (`"level": "error"`) followed
-/// by baselined ones (`"level": "note"`), each ordered by (file, line, col).
-pub fn to_json(files_scanned: usize, pass: bool, check: &BaselineCheck) -> String {
+/// every diagnostic is `"level": "error"`, in the order given.
+pub fn to_json(files_scanned: usize, violations: &[Violation]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": {},", json_string(REPORT_SCHEMA));
     let _ = writeln!(out, "  \"files_scanned\": {files_scanned},");
-    let _ = writeln!(out, "  \"pass\": {pass},");
+    let _ = writeln!(out, "  \"pass\": {},", violations.is_empty());
 
     out.push_str("  \"counts\": {");
     for (i, lint) in LintId::ALL.iter().enumerate() {
-        let n = check
-            .new_violations
-            .iter()
-            .chain(&check.budgeted)
-            .filter(|v| v.lint == *lint)
-            .count();
+        let n = violations.iter().filter(|v| v.lint == *lint).count();
         if i > 0 {
             out.push_str(", ");
         }
@@ -62,50 +51,28 @@ pub fn to_json(files_scanned: usize, pass: bool, check: &BaselineCheck) -> Strin
     out.push_str("},\n");
 
     out.push_str("  \"diagnostics\": [");
-    let mut first = true;
-    for (level, violations) in LEVELS.iter().zip([&check.new_violations, &check.budgeted]) {
-        for v in violations {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    {{\"lint\": {}, \"level\": {}, \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}}}",
-                json_string(v.lint.as_str()),
-                json_string(level),
-                json_string(&v.file.display().to_string()),
-                v.line,
-                v.col,
-                json_string(&v.message),
-            );
-        }
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n");
-
-    out.push_str("  \"stale_baseline\": [");
-    for (i, (id, file, budget, observed)) in check.stale.iter().enumerate() {
+    for (i, v) in violations.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         let _ = write!(
             out,
-            "\n    {{\"lint\": {}, \"file\": {}, \"budget\": {budget}, \"observed\": {observed}}}",
-            json_string(id),
-            json_string(&file.display().to_string()),
+            "\n    {{\"lint\": {}, \"level\": \"error\", \"file\": {}, \"line\": {}, \"col\": {}, \"message\": {}}}",
+            json_string(v.lint.as_str()),
+            json_string(&v.file.display().to_string()),
+            v.line,
+            v.col,
+            json_string(&v.message),
         );
     }
-    if !check.stale.is_empty() {
+    if !violations.is_empty() {
         out.push_str("\n  ");
     }
     out.push_str("]\n}\n");
     out
 }
 
-/// Validates `text` against the `finrad-lint-report/3` schema using the
+/// Validates `text` against the `finrad-lint-report/4` schema using the
 /// in-tree JSON parser. Returns the list of problems (empty = valid).
 pub fn validate(text: &str) -> Vec<String> {
     let mut problems = Vec::new();
@@ -157,7 +124,7 @@ pub fn validate(text: &str) -> Vec<String> {
                     .is_some_and(|id| LintId::ALL.iter().any(|l| l.as_str() == id))
                     && d.get("level")
                         .and_then(|v| v.as_str())
-                        .is_some_and(|l| LEVELS.contains(&l))
+                        .is_some_and(|l| l == "error")
                     && d.get("file").and_then(|v| v.as_str()).is_some()
                     && d.get("line")
                         .and_then(|v| v.as_u64())
@@ -173,82 +140,7 @@ pub fn validate(text: &str) -> Vec<String> {
         }
     }
 
-    match obj.get("stale_baseline").and_then(|v| v.as_array()) {
-        None => problems.push("missing array `stale_baseline`".to_string()),
-        Some(stale) => {
-            for (i, s) in stale.iter().enumerate() {
-                let ok = s.get("lint").and_then(|v| v.as_str()).is_some()
-                    && s.get("file").and_then(|v| v.as_str()).is_some()
-                    && s.get("budget").and_then(|v| v.as_u64()).is_some()
-                    && s.get("observed").and_then(|v| v.as_u64()).is_some();
-                if !ok {
-                    problems.push(format!("stale_baseline[{i}] is malformed"));
-                }
-            }
-        }
-    }
-
     problems
-}
-
-/// Differential mode (`cargo xtask lint --diff-base <report.json>`): splits
-/// `current` into (fresh, absorbed) against the diagnostics recorded in a
-/// prior report. Matching is keyed on (lint, file, message) — not line — so
-/// unrelated edits that shift code don't resurrect known findings; it is
-/// multiplicity-aware, so a *second* occurrence of an already-known
-/// diagnostic still counts as fresh.
-///
-/// Returns `Err` when `base_text` fails [`validate`] — a differential gate
-/// against a malformed base would silently pass everything.
-pub fn diff_new(
-    current: &[crate::lints::Violation],
-    base_text: &str,
-) -> Result<(Vec<crate::lints::Violation>, Vec<crate::lints::Violation>), Vec<String>> {
-    let problems = validate(base_text);
-    if !problems.is_empty() {
-        return Err(problems);
-    }
-    // validate() guarantees the shape below, so the unwraps cannot fire.
-    let doc = crate::json::parse(base_text).map_err(|e| vec![e.to_string()])?;
-    let mut known: std::collections::BTreeMap<(String, String, String), usize> =
-        std::collections::BTreeMap::new();
-    if let Some(diags) = doc.get("diagnostics").and_then(|v| v.as_array()) {
-        for d in diags {
-            let key = (
-                d.get("lint")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("")
-                    .to_string(),
-                d.get("file")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("")
-                    .to_string(),
-                d.get("message")
-                    .and_then(|v| v.as_str())
-                    .unwrap_or("")
-                    .to_string(),
-            );
-            *known.entry(key).or_insert(0) += 1;
-        }
-    }
-
-    let mut fresh = Vec::new();
-    let mut absorbed = Vec::new();
-    for v in current {
-        let key = (
-            v.lint.as_str().to_string(),
-            v.file.display().to_string(),
-            v.message.clone(),
-        );
-        match known.get_mut(&key) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                absorbed.push(v.clone());
-            }
-            _ => fresh.push(v.clone()),
-        }
-    }
-    Ok((fresh, absorbed))
 }
 
 /// Escapes `s` as a JSON string literal (shared with [`crate::sarif`]).
@@ -275,114 +167,75 @@ pub(crate) fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lints::Violation;
     use std::path::PathBuf;
 
-    fn sample_check() -> BaselineCheck {
-        BaselineCheck {
-            new_violations: vec![Violation {
+    fn sample() -> Vec<Violation> {
+        vec![
+            Violation {
                 lint: LintId::PanicFreedom,
                 file: PathBuf::from("a.rs"),
                 line: 3,
                 col: 7,
                 message: "say \"no\" to panics".to_string(),
-            }],
-            budgeted: vec![Violation {
+            },
+            Violation {
                 lint: LintId::FloatDiscipline,
                 file: PathBuf::from("c.rs"),
                 line: 9,
                 col: 2,
                 message: "tolerances".to_string(),
-            }],
-            stale: vec![("unit-safety".to_string(), PathBuf::from("b.rs"), 2, 1)],
-        }
+            },
+        ]
     }
 
     #[test]
     fn report_round_trips_through_own_parser_and_validates() {
-        let json = to_json(7, false, &sample_check());
+        let json = to_json(7, &sample());
         let doc = crate::json::parse(&json).expect("self-emitted report must parse");
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),
             Some(REPORT_SCHEMA)
         );
         assert_eq!(doc.get("files_scanned").and_then(|v| v.as_u64()), Some(7));
+        assert!(matches!(
+            doc.get("pass"),
+            Some(crate::json::Value::Bool(false))
+        ));
         let diags = doc.get("diagnostics").and_then(|v| v.as_array()).unwrap();
         assert_eq!(diags.len(), 2);
-        assert_eq!(
-            diags[0].get("level").and_then(|v| v.as_str()),
-            Some("error")
-        );
-        assert_eq!(diags[1].get("level").and_then(|v| v.as_str()), Some("note"));
+        for d in diags {
+            assert_eq!(d.get("level").and_then(|v| v.as_str()), Some("error"));
+        }
         assert_eq!(diags[0].get("col").and_then(|v| v.as_u64()), Some(7));
         assert!(validate(&json).is_empty(), "{:?}", validate(&json));
     }
 
     #[test]
-    fn counts_cover_all_families() {
-        let json = to_json(1, true, &BaselineCheck::default());
+    fn clean_run_passes_and_counts_cover_all_families() {
+        let json = to_json(1, &[]);
         let doc = crate::json::parse(&json).unwrap();
+        assert!(matches!(
+            doc.get("pass"),
+            Some(crate::json::Value::Bool(true))
+        ));
         let counts = doc.get("counts").and_then(|v| v.as_object()).unwrap();
         assert_eq!(counts.len(), LintId::ALL.len());
-    }
-
-    #[test]
-    fn diff_of_a_report_against_itself_is_empty() {
-        let check = sample_check();
-        let json = to_json(7, false, &check);
-        let current: Vec<Violation> = check
-            .new_violations
-            .iter()
-            .chain(&check.budgeted)
-            .cloned()
-            .collect();
-        let (fresh, absorbed) = diff_new(&current, &json).expect("valid base");
-        assert!(fresh.is_empty(), "{fresh:?}");
-        assert_eq!(absorbed.len(), current.len());
-    }
-
-    #[test]
-    fn diff_is_line_insensitive_but_multiplicity_aware() {
-        let check = sample_check();
-        let json = to_json(7, false, &check);
-        // Same diagnostic, shifted by an unrelated edit: absorbed.
-        let mut moved = check.new_violations[0].clone();
-        moved.line += 40;
-        // A second copy of it: fresh (the base records only one).
-        let (fresh, absorbed) = diff_new(&[moved.clone(), moved], &json).expect("valid base");
-        assert_eq!(absorbed.len(), 1);
-        assert_eq!(fresh.len(), 1);
-        // A genuinely new diagnostic is fresh.
-        let novel = Violation {
-            lint: LintId::RngDeterminism,
-            file: PathBuf::from("d.rs"),
-            line: 1,
-            col: 1,
-            message: "entropy".to_string(),
-        };
-        let (fresh, absorbed) = diff_new(&[novel], &json).expect("valid base");
-        assert!(absorbed.is_empty());
-        assert_eq!(fresh.len(), 1);
-    }
-
-    #[test]
-    fn diff_rejects_a_malformed_base() {
-        assert!(diff_new(&[], "not json").is_err());
-        assert!(diff_new(&[], "{}").is_err());
+        assert!(validate(&json).is_empty(), "{:?}", validate(&json));
     }
 
     #[test]
     fn validate_rejects_drifted_documents() {
         assert!(!validate("{}").is_empty());
         assert!(!validate("not json").is_empty());
-        let wrong_schema = to_json(1, true, &BaselineCheck::default())
-            .replace(REPORT_SCHEMA, "finrad-lint-report/1");
+        let wrong_schema = to_json(1, &[]).replace(REPORT_SCHEMA, "finrad-lint-report/3");
         assert!(validate(&wrong_schema)
             .iter()
             .any(|p| p.contains("schema mismatch")));
-        let bad_diag = to_json(1, false, &sample_check()).replace("\"col\": 7", "\"col\": 0");
+        let bad_diag = to_json(1, &sample()).replace("\"col\": 7", "\"col\": 0");
         assert!(validate(&bad_diag)
             .iter()
             .any(|p| p.contains("diagnostics[0]")));
+        let note = to_json(1, &sample()).replacen("\"level\": \"error\"", "\"level\": \"note\"", 1);
+        assert!(validate(&note).iter().any(|p| p.contains("diagnostics[0]")));
     }
 }

@@ -1,19 +1,18 @@
-//! SARIF 2.1.0 emission for lint runs (`cargo xtask lint --format sarif`).
+//! SARIF 2.1.0 emission for lint runs (`cargo xtask lint --sarif <path|->`).
 //!
 //! The Static Analysis Results Interchange Format is what code-scanning
 //! UIs (GitHub, VS Code SARIF viewers) ingest. This emitter produces the
 //! minimal conforming subset: one run, one tool driver with a rule per
-//! lint family, and one result per diagnostic. Over-budget violations map
-//! to `"level": "error"`, baselined ones to `"level": "note"` — the same
-//! split as the native report ([`crate::report`]).
+//! lint family, and one result per diagnostic. Every result is
+//! `"level": "error"`, as in the native report ([`crate::report`]): any
+//! diagnostic fails the gate.
 //!
 //! Like the native format, documents are validated through the in-tree
 //! JSON parser ([`validate`]) before CI archives them.
 
 use std::fmt::Write as _;
 
-use crate::baseline::BaselineCheck;
-use crate::lints::LintId;
+use crate::lints::{LintId, Violation};
 use crate::report::json_string;
 
 /// The SARIF spec version emitted in every document.
@@ -23,7 +22,7 @@ pub const SARIF_VERSION: &str = "2.1.0";
 pub const TOOL_NAME: &str = "finrad-lint";
 
 /// Serializes the outcome of a lint run as a SARIF 2.1.0 document.
-pub fn to_sarif(check: &BaselineCheck) -> String {
+pub fn to_sarif(violations: &[Violation]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"version\": {},", json_string(SARIF_VERSION));
     let _ = writeln!(
@@ -51,29 +50,21 @@ pub fn to_sarif(check: &BaselineCheck) -> String {
     out.push_str("\n          ]\n        }\n      },\n");
 
     out.push_str("      \"results\": [");
-    let mut first = true;
-    for (level, violations) in ["error", "note"]
-        .iter()
-        .zip([&check.new_violations, &check.budgeted])
-    {
-        for v in violations {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n        {{\"ruleId\": {}, \"level\": {}, \"message\": {{\"text\": {}}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
-                json_string(v.lint.as_str()),
-                json_string(level),
-                json_string(&v.message),
-                json_string(&v.file.display().to_string()),
-                v.line,
-                v.col,
-            );
+    for (i, v) in violations.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        let _ = write!(
+            out,
+            "\n        {{\"ruleId\": {}, \"level\": \"error\", \"message\": {{\"text\": {}}}, \"locations\": [{{\"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \"region\": {{\"startLine\": {}, \"startColumn\": {}}}}}}}]}}",
+            json_string(v.lint.as_str()),
+            json_string(&v.message),
+            json_string(&v.file.display().to_string()),
+            v.line,
+            v.col,
+        );
     }
-    if !first {
+    if !violations.is_empty() {
         out.push_str("\n      ");
     }
     out.push_str("]\n    }\n  ]\n}\n");
@@ -149,7 +140,7 @@ pub fn validate(text: &str) -> Vec<String> {
                 let level_ok = r
                     .get("level")
                     .and_then(|v| v.as_str())
-                    .is_some_and(|l| ["error", "note"].contains(&l));
+                    .is_some_and(|l| l == "error");
                 let message_ok = r
                     .get("message")
                     .and_then(|m| m.get("text"))
@@ -187,29 +178,28 @@ mod tests {
     use crate::lints::Violation;
     use std::path::PathBuf;
 
-    fn sample_check() -> BaselineCheck {
-        BaselineCheck {
-            new_violations: vec![Violation {
+    fn sample() -> Vec<Violation> {
+        vec![
+            Violation {
                 lint: LintId::LockOrderAudit,
                 file: PathBuf::from("crates/core/src/service.rs"),
                 line: 12,
                 col: 9,
                 message: "lock-order cycle `a -> b -> a`".to_string(),
-            }],
-            budgeted: vec![Violation {
+            },
+            Violation {
                 lint: LintId::FloatDiscipline,
                 file: PathBuf::from("crates/spice/src/solver.rs"),
                 line: 40,
                 col: 1,
                 message: "float \"equality\"".to_string(),
-            }],
-            stale: Vec::new(),
-        }
+            },
+        ]
     }
 
     #[test]
     fn sarif_round_trips_through_own_parser_and_validates() {
-        let sarif = to_sarif(&sample_check());
+        let sarif = to_sarif(&sample());
         let doc = crate::json::parse(&sarif).expect("self-emitted SARIF must parse");
         assert_eq!(
             doc.get("version").and_then(|v| v.as_str()),
@@ -218,14 +208,9 @@ mod tests {
         let runs = doc.get("runs").and_then(|v| v.as_array()).unwrap();
         let results = runs[0].get("results").and_then(|v| v.as_array()).unwrap();
         assert_eq!(results.len(), 2);
-        assert_eq!(
-            results[0].get("level").and_then(|v| v.as_str()),
-            Some("error")
-        );
-        assert_eq!(
-            results[1].get("level").and_then(|v| v.as_str()),
-            Some("note")
-        );
+        for r in results {
+            assert_eq!(r.get("level").and_then(|v| v.as_str()), Some("error"));
+        }
         let rules = runs[0]
             .get("tool")
             .and_then(|t| t.get("driver"))
@@ -240,13 +225,15 @@ mod tests {
     fn validate_rejects_malformed_documents() {
         assert!(!validate("{}").is_empty());
         assert!(!validate("not json").is_empty());
-        let bad = to_sarif(&sample_check()).replace("\"2.1.0\"", "\"9.9\"");
+        let bad = to_sarif(&sample()).replace("\"2.1.0\"", "\"9.9\"");
         assert!(validate(&bad)
             .iter()
             .any(|p| p.contains("version mismatch")));
-        let bad_rule = to_sarif(&sample_check())
+        let bad_rule = to_sarif(&sample())
             .replace("\"ruleId\": \"lock-order-audit\"", "\"ruleId\": \"bogus\"");
         assert!(validate(&bad_rule).iter().any(|p| p.contains("results[0]")));
+        let note = to_sarif(&sample()).replacen("\"level\": \"error\"", "\"level\": \"note\"", 1);
+        assert!(validate(&note).iter().any(|p| p.contains("results[0]")));
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! family fires with the right ID at the right (line, col) span, allow()
 //! suppresses (and unused allows are flagged), and clean code stays clean.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use xtask::flow::FileUnit;
@@ -26,12 +27,19 @@ fn workspace_root() -> &'static Path {
         .expect("workspace root")
 }
 
-/// Lints a fixture against the *real* workspace index, so the declared
+/// Lints a fixture exactly as `cargo xtask lint` would if it sat in a
+/// physics crate's `src/`: real index, per-file and flow families, then
+/// suppression.
+fn lint_in_tree(name: &str, index: &WorkspaceIndex) -> Vec<Violation> {
+    let path = PathBuf::from("crates/transport/src").join(name);
+    xtask::lint_sources(&[(path, read_fixture(name), true)], index)
+}
+
+/// [`lint_in_tree`] against the *real* workspace index, so the declared
 /// metric-key set comes from `crates/observe/src/keys.rs`.
 fn lint_fixture_indexed(name: &str) -> (Vec<Violation>, WorkspaceIndex) {
     let index = index::build(workspace_root()).expect("index build");
-    let v = xtask::lint_file_source_with_index(Path::new(name), &read_fixture(name), true, &index);
-    (v, index)
+    (lint_in_tree(name, &index), index)
 }
 
 /// Runs the flow-sensitive (phase-3) families over one fixture, through
@@ -281,31 +289,40 @@ fn lexer_edges_fixture_stays_clean() {
     assert!(v.is_empty(), "{v:#?}");
 }
 
+/// A synthetic checkpoint codec, the same codec with an edited
+/// serializer, and the edit with the version bumped.
+const CODEC_V1: &str = "pub const CHECKPOINT_VERSION: u32 = 1;\n\
+                        pub fn to_text(x: u64) -> u64 { x.wrapping_mul(3) }\n";
+const CODEC_V1_EDITED: &str = "pub const CHECKPOINT_VERSION: u32 = 1;\n\
+                               pub fn to_text(x: u64) -> u64 { x.wrapping_mul(5) }\n";
+const CODEC_V2_EDITED: &str = "pub const CHECKPOINT_VERSION: u32 = 2;\n\
+                               pub fn to_text(x: u64) -> u64 { x.wrapping_mul(5) }\n";
+
+fn codec_index(codec: &str) -> WorkspaceIndex {
+    index::from_sources(
+        &read_fixture("../../../observe/src/keys.rs"),
+        "",
+        Some(codec),
+    )
+}
+
+fn codec_pin(codec: &str) -> Option<(u64, u32)> {
+    let schema = codec_index(codec)
+        .checkpoint
+        .expect("fixture declares CHECKPOINT_VERSION");
+    Some((schema.fingerprint, schema.version))
+}
+
 #[test]
 fn checkpoint_drift_fires_on_unbumped_serializer_edit() {
-    let keys = read_fixture("../../../observe/src/keys.rs");
-    let v1 = "pub const CHECKPOINT_VERSION: u32 = 1;\n\
-              pub fn to_text(x: u64) -> u64 { x.wrapping_mul(3) }\n";
-    let v1_edited = "pub const CHECKPOINT_VERSION: u32 = 1;\n\
-              pub fn to_text(x: u64) -> u64 { x.wrapping_mul(5) }\n";
-    let v2_edited = "pub const CHECKPOINT_VERSION: u32 = 2;\n\
-              pub fn to_text(x: u64) -> u64 { x.wrapping_mul(5) }\n";
-
-    let schema_of = |src: &str| {
-        index::from_sources(&keys, "", Some(src))
-            .checkpoint
-            .clone()
-            .expect("fixture declares CHECKPOINT_VERSION")
-    };
-    let recorded = schema_of(v1);
-    let pin = Some((recorded.fingerprint, recorded.version));
+    let pin = codec_pin(CODEC_V1);
 
     // Unchanged codec: quiet.
-    assert!(lints::checkpoint_drift(&index::from_sources(&keys, "", Some(v1)), pin).is_empty());
+    assert!(lints::checkpoint_drift(&codec_index(CODEC_V1), pin).is_empty());
 
     // Serializer edited, version NOT bumped: the drift lint fails with a
     // span on the version constant.
-    let drifted = lints::checkpoint_drift(&index::from_sources(&keys, "", Some(v1_edited)), pin);
+    let drifted = lints::checkpoint_drift(&codec_index(CODEC_V1_EDITED), pin);
     assert_eq!(drifted.len(), 1, "{drifted:#?}");
     assert_eq!(drifted[0].lint, LintId::CheckpointSchemaDrift);
     assert!(drifted[0]
@@ -313,18 +330,65 @@ fn checkpoint_drift_fires_on_unbumped_serializer_edit() {
         .contains("without a CHECKPOINT_VERSION bump"));
     assert_eq!((drifted[0].line, drifted[0].col), (1, 37));
 
-    // Serializer edited WITH a version bump: the lint asks for a pin
-    // refresh (`--fix-allowlist`) instead of rejecting the edit.
-    let bumped = lints::checkpoint_drift(&index::from_sources(&keys, "", Some(v2_edited)), pin);
+    // Serializer edited WITH a version bump: the lint prints the exact pin
+    // lines to record instead of rejecting the edit.
+    let refreshed = codec_pin(CODEC_V2_EDITED).expect("pin");
+    let bumped = lints::checkpoint_drift(&codec_index(CODEC_V2_EDITED), pin);
     assert_eq!(bumped.len(), 1, "{bumped:#?}");
-    assert!(bumped[0].message.contains("refresh the recorded schema"));
-    // And refreshing the pin silences it.
-    let refreshed = schema_of(v2_edited);
-    assert!(lints::checkpoint_drift(
-        &index::from_sources(&keys, "", Some(v2_edited)),
-        Some((refreshed.fingerprint, refreshed.version)),
-    )
-    .is_empty());
+    let pin_lines = format!(
+        "`fingerprint = \"{:016x}\"` and `format-version = 2`",
+        refreshed.0
+    );
+    assert!(
+        bumped[0].message.contains(&pin_lines),
+        "{}",
+        bumped[0].message
+    );
+    // And recording that pin silences it.
+    assert!(lints::checkpoint_drift(&codec_index(CODEC_V2_EDITED), Some(refreshed)).is_empty());
+}
+
+/// The gate is "any diagnostic fails", so it catches a family exactly when
+/// some fixture fires it. Every family must have one: a new family without
+/// a fixture fails here.
+#[test]
+fn every_family_has_a_fixture_that_fails_the_gate() {
+    let index = index::build(workspace_root()).expect("index build");
+    let mut runs: Vec<(String, Vec<Violation>)> = Vec::new();
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    for entry in std::fs::read_dir(&dir).expect("fixtures dir") {
+        let name = entry.expect("dir entry").file_name();
+        let name = name.to_str().expect("UTF-8 fixture name").to_string();
+        let v = lint_in_tree(&name, &index);
+        runs.push((name, v));
+    }
+    // Checkpoint drift is workspace-level: the synthetic codec edit stands
+    // in for a fixture.
+    runs.push((
+        "synthetic codec edit".to_string(),
+        lints::checkpoint_drift(&codec_index(CODEC_V1_EDITED), codec_pin(CODEC_V1)),
+    ));
+
+    let mut firing: BTreeMap<LintId, &str> = BTreeMap::new();
+    for (name, v) in &runs {
+        for lint in v.iter().map(|v| v.lint) {
+            firing.entry(lint).or_insert(name);
+        }
+    }
+    for lint in LintId::ALL {
+        let Some(name) = firing.get(&lint) else {
+            panic!("[{lint}] has no fixture that fires it");
+        };
+        let (_, v) = runs.iter().find(|(n, _)| n == name).expect("run");
+        let json = xtask::report::to_json(1, v);
+        let problems = xtask::report::validate(&json);
+        assert!(problems.is_empty(), "{name}: {problems:#?}");
+        let doc = xtask::json::parse(&json).expect("report parses");
+        assert!(
+            matches!(doc.get("pass"), Some(xtask::json::Value::Bool(false))),
+            "[{lint}] {name}: the report does not fail the run"
+        );
+    }
 }
 
 #[test]
@@ -340,42 +404,31 @@ fn scan_tree_skips_xtask_and_reports_relative_paths() {
     assert!(!scan.index.metric_keys.is_empty());
     assert!(!scan.index.seed_sanctioned.is_empty());
     assert!(scan.index.checkpoint.is_some());
-    // The repo-wide policy: these classes are fully fixed and must stay so.
-    for extinct in [
-        LintId::RngDeterminism,
-        LintId::MetricsKeyRegistry,
-        LintId::SeedDiscipline,
-        LintId::SharedStateAudit,
-        LintId::UnusedSuppression,
-        // The flow families: in particular, the real lock-acquisition graph
-        // (campaign service included) must be cycle-free, and every
-        // supervised loop must poll cancellation.
-        LintId::LockOrderAudit,
-        LintId::GuardLifetimeAudit,
-        LintId::CancellationResponsiveness,
-        LintId::ResultDiscardAudit,
-    ] {
-        let hits: Vec<_> = scan
-            .violations
-            .iter()
-            .filter(|v| v.lint == extinct)
-            .collect();
-        assert!(hits.is_empty(), "[{extinct}] resurfaced: {hits:#?}");
+    // The repo-wide policy, the same one `cargo xtask lint` enforces: every
+    // family is at zero. In particular, the real lock-acquisition graph
+    // (campaign service included) must be cycle-free, and every supervised
+    // loop must poll cancellation.
+    for lint in LintId::ALL {
+        let hits: Vec<_> = scan.violations.iter().filter(|v| v.lint == lint).collect();
+        assert!(hits.is_empty(), "[{lint}] resurfaced: {hits:#?}");
     }
+    // And the checkpoint codec matches its committed pin.
+    let pin = xtask::baseline::load(workspace_root()).expect("pin file");
+    assert!(pin.is_some(), "xtask/lint-baseline.toml records no pin");
+    let drift = lints::checkpoint_drift(&scan.index, pin);
+    assert!(drift.is_empty(), "{drift:#?}");
 }
 
 #[test]
 fn real_scan_report_round_trips_and_validates() {
     let root = workspace_root();
     let scan = xtask::scan_tree(root).expect("scan");
-    let base = xtask::baseline::Baseline::load(root).expect("baseline");
     let mut all = scan.violations.clone();
     all.extend(lints::checkpoint_drift(
         &scan.index,
-        base.checkpoint_schema(),
+        xtask::baseline::load(root).expect("pin file"),
     ));
-    let check = xtask::baseline::check(&all, &base);
-    let json = xtask::report::to_json(scan.files_scanned, true, &check);
+    let json = xtask::report::to_json(scan.files_scanned, &all);
     let problems = xtask::report::validate(&json);
     assert!(problems.is_empty(), "{problems:#?}");
     let doc = xtask::json::parse(&json).expect("report parses");
@@ -386,7 +439,7 @@ fn real_scan_report_round_trips_and_validates() {
 
     // The same run as SARIF: validates, advertises every family as a rule,
     // and carries one result per diagnostic.
-    let sarif = xtask::sarif::to_sarif(&check);
+    let sarif = xtask::sarif::to_sarif(&all);
     let problems = xtask::sarif::validate(&sarif);
     assert!(problems.is_empty(), "{problems:#?}");
     let doc = xtask::json::parse(&sarif).expect("SARIF parses");
@@ -395,21 +448,5 @@ fn real_scan_report_round_trips_and_validates() {
         .get("results")
         .and_then(|v| v.as_array())
         .expect("results");
-    assert_eq!(
-        results.len(),
-        check.new_violations.len() + check.budgeted.len()
-    );
-
-    // Differential mode against the report we just emitted: an unchanged
-    // tree produces zero fresh diagnostics.
-    let current: Vec<Violation> = check
-        .new_violations
-        .iter()
-        .chain(&check.budgeted)
-        .cloned()
-        .collect();
-    let (fresh, absorbed) =
-        xtask::report::diff_new(&current, &json).expect("self-report is a valid base");
-    assert!(fresh.is_empty(), "{fresh:#?}");
-    assert_eq!(absorbed.len(), current.len());
+    assert_eq!(results.len(), all.len());
 }
