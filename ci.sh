@@ -28,14 +28,18 @@ cargo run -q --offline --release --features fault-injection --example campaign_s
 echo "==> perfbench tests (BENCHMARK.json pinned to the metric definitions)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
-echo "==> perfbench one-pass nominal_lut smoke (correct, no failed ops)"
 # perfbench rejects --seconds 0; the smallest positive budget runs one pass.
-result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-  --workload nominal_lut --seed 1 --seconds 0.001 --trace 0 | tail -n 1)
-if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
-  echo "perfbench smoke failed: $result" >&2
-  exit 1
-fi
+# fig9_sweep runs the variation Monte-Carlo characterization through the
+# bit-identity, Fig. 9 trend and 5-sigma reference checks.
+for workload in nominal_lut fig9_sweep; do
+  echo "==> perfbench one-pass $workload smoke (correct, no failed ops)"
+  result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 0.001 --trace 0 | tail -n 1)
+  if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0,' <<<"$result"; then
+    echo "perfbench $workload smoke failed: $result" >&2
+    exit 1
+  fi
+done
 
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -38,7 +38,10 @@ use std::path::Path;
 /// code and pins (fingerprint, version) in `xtask/lint-baseline.toml`:
 /// changing the (de)serialization logic without bumping this constant
 /// fails `cargo xtask lint`. After a deliberate format change, bump the
-/// version here and refresh the pin with `cargo xtask lint --fix-allowlist`.
+/// version here, run `cargo xtask lint`, and copy the `fingerprint = …`
+/// and `format-version = …` lines its `checkpoint-schema-drift`
+/// diagnostic prints into the `[checkpoint-schema]` table of
+/// `xtask/lint-baseline.toml`.
 pub const CHECKPOINT_VERSION: u32 = 1;
 
 const MAGIC: &str = "finradckpt";

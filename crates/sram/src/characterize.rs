@@ -96,12 +96,33 @@ impl Default for CharacterizeOptions {
 pub struct CellCharacterizer {
     tech: Technology,
     options: CharacterizeOptions,
+    /// The critical-charge scan grid, computed once from the options (see
+    /// [`scan_grid`]).
+    q_grid: Vec<f64>,
     /// Pre-strike DC operating points keyed by `(vdd, deltas)`: the
-    /// ~20–30 bracketing/refinement probes of one critical-charge search
+    /// bracketing and refinement probes of one critical-charge search
+    /// (~7 for a seeded variation sample, ~16 for a scan from the floor)
     /// all share one identical pre-strike state, so it is solved once and
     /// reused. Clones share the cache (`Arc`), so a characterizer handed
     /// to worker threads keeps one map.
     op_cache: Arc<Mutex<HashMap<OpKey, Arc<Vec<f64>>>>>,
+}
+
+/// Lowest charge of the critical-charge search, coulombs (~6 electrons:
+/// never flips).
+const Q_FLOOR: f64 = 1.0e-18;
+
+/// The geometric scan grid of the critical-charge search: `g[0]` is
+/// [`Q_FLOOR`] and `g[i+1] = (g[i]·1.6).min(q_search_max)` until
+/// `q_search_max` is reached.
+fn scan_grid(q_search_max: f64) -> Vec<f64> {
+    let mut grid = vec![Q_FLOOR];
+    let mut q = Q_FLOOR;
+    while q < q_search_max {
+        q = (q * 1.6).min(q_search_max);
+        grid.push(q);
+    }
+    grid
 }
 
 /// Cache key for a pre-strike operating point: the supply voltage and the
@@ -137,6 +158,7 @@ impl CellCharacterizer {
     pub fn new(tech: Technology, options: CharacterizeOptions) -> Self {
         Self {
             tech,
+            q_grid: scan_grid(options.q_search_max),
             options,
             op_cache: Arc::new(Mutex::new(HashMap::new())),
         }
@@ -330,38 +352,77 @@ impl CellCharacterizer {
         combo: StrikeCombo,
         deltas: &HashMap<TransistorRole, Voltage>,
     ) -> Result<Charge, SpiceError> {
-        // Upward geometric scan to bracket the *first* flip threshold.
-        // The flip response is not globally monotone: extreme charges can
-        // drive the struck node so far past the rail that the pass gate
-        // turns on from its source side and restores the cell from the
-        // precharged bit line. Scanning finds the lower threshold, which is
-        // the physically meaningful critical charge.
-        let q_floor = 1.0e-18; // ~6 electrons: never flips
-        let mut lo = q_floor;
-        let mut m_lo: Option<f64> = None; // margin at lo (q_floor is never probed)
-        let mut hi = lo;
-        let mut bracket = None;
-        while hi < self.options.q_search_max {
-            hi = (hi * 1.6).min(self.options.q_search_max);
-            let m = self.margin_counted(vdd, combo, Charge::from_coulombs(hi), deltas)?;
-            if m <= 0.0 {
-                bracket = Some(m);
-                break;
-            }
-            lo = hi;
-            m_lo = Some(m);
-        }
-        let Some(m_hi) = bracket else {
-            // Saturated sample: never flipped in the search range.
-            return Ok(Charge::from_coulombs(self.options.q_search_max));
-        };
-        let Some(m_lo) = m_lo else {
-            // The very first scan probe already flips: the threshold is at
-            // or below the floor.
-            return Ok(Charge::from_coulombs(lo));
-        };
+        Ok(self.critical_charge_from(vdd, combo, deltas, 1)?.0)
+    }
 
-        // Refine in ln-space, threading the scan's endpoint margins
+    /// The critical-charge search, walking the scan grid from index
+    /// `start` (clamped to the grid) to bracket the *first* flip threshold,
+    /// then refining by ITP. Returns the critical charge and the grid index
+    /// of the bracket's upper end (the last index for a saturated search),
+    /// which seeds the walk of a similar search.
+    ///
+    /// The flip response is not globally monotone: extreme charges can
+    /// drive the struck node so far past the rail that the pass gate turns
+    /// on from its source side and restores the cell from the precharged
+    /// bit line. The physically meaningful critical charge is the lower
+    /// threshold, which the upward scan from `start = 1` finds. From any
+    /// other start the walk probes the same grid points and hands the same
+    /// endpoints to ITP, so it returns the scan's result bit for bit
+    /// whenever every grid point from the scan's first flip up to `start`
+    /// flips — true for any start well below the restoring threshold near
+    /// `q_search_max`.
+    fn critical_charge_from(
+        &self,
+        vdd: Voltage,
+        combo: StrikeCombo,
+        deltas: &HashMap<TransistorRole, Voltage>,
+        start: usize,
+    ) -> Result<(Charge, usize), SpiceError> {
+        let grid = &self.q_grid;
+        let top = grid.len() - 1;
+        let saturated = (Charge::from_coulombs(self.options.q_search_max), top);
+        if top == 0 {
+            return Ok(saturated);
+        }
+        let probe =
+            |k: usize| self.margin_counted(vdd, combo, Charge::from_coulombs(grid[k]), deltas);
+        let mut k = start.clamp(1, top);
+        let m = probe(k)?;
+        // Walk to the adjacent grid pair where grid[k − 1] holds and
+        // grid[k] flips.
+        let (m_lo, m_hi) = if m <= 0.0 {
+            let mut m_hi = m;
+            loop {
+                if k == 1 {
+                    // Even the lowest probe flips: the threshold is at or
+                    // below the floor.
+                    return Ok((Charge::from_coulombs(Q_FLOOR), 1));
+                }
+                let m = probe(k - 1)?;
+                if m > 0.0 {
+                    break (m, m_hi);
+                }
+                k -= 1;
+                m_hi = m;
+            }
+        } else {
+            let mut m_lo = m;
+            loop {
+                if k == top {
+                    // Saturated sample: never flipped in the search range.
+                    return Ok(saturated);
+                }
+                k += 1;
+                let m = probe(k)?;
+                if m <= 0.0 {
+                    break (m_lo, m);
+                }
+                m_lo = m;
+            }
+        };
+        let (lo, hi) = (grid[k - 1], grid[k]);
+
+        // Refine in ln-space, threading the walk's endpoint margins
         // through so neither endpoint transient is re-run. The stop width
         // ln(1 + rel_tol) reproduces the retired criterion
         // `hi/lo ≤ 1 + rel_tol`, and the returned bracket midpoint is the
@@ -391,7 +452,7 @@ impl CellCharacterizer {
             return Err(e);
         }
         match result {
-            Ok(root) => Ok(Charge::from_coulombs(root.x.exp())),
+            Ok(root) => Ok((Charge::from_coulombs(root.x.exp()), k)),
             // A genuinely non-finite margin (NaN with no underlying SPICE
             // error) or an iteration blow-up: surface it as a typed solver
             // failure instead of a panic or a silent wrong answer.
@@ -434,7 +495,9 @@ impl CellCharacterizer {
     ///
     /// For [`Variation::MonteCarlo`] the samples are distributed across
     /// `std::thread::available_parallelism()` workers with independent
-    /// deterministic RNG streams derived from `seed`.
+    /// deterministic RNG streams derived from `seed`. One nominal search
+    /// runs first, and every sample's search starts its walk at the
+    /// nominal bracket instead of the bottom of the scan grid.
     ///
     /// # Errors
     ///
@@ -461,6 +524,10 @@ impl CellCharacterizer {
                     .unwrap_or(1)
                     .min(samples);
                 let chunk = samples.div_ceil(n_threads);
+                // One nominal search seeds every sample's walk at the
+                // nominal bracket, so a sample skips the scan up from the
+                // floor.
+                let (_, nominal_hi) = self.critical_charge_from(vdd, combo, &HashMap::new(), 1)?;
                 let results: Vec<Result<Vec<f64>, SpiceError>> = std::thread::scope(|scope| {
                     let mut handles = Vec::new();
                     for t in 0..n_threads {
@@ -482,7 +549,8 @@ impl CellCharacterizer {
                                     0x9E37_79B9_7F4A_7C15,
                                 );
                                 let deltas = this.sample_deltas(var, &mut rng);
-                                let q = this.critical_charge(vdd, combo, &deltas)?;
+                                let (q, _) =
+                                    this.critical_charge_from(vdd, combo, &deltas, nominal_hi)?;
                                 out.push(q.coulombs());
                             }
                             Ok(out)
@@ -753,6 +821,71 @@ mod tests {
                 new.femtocoulombs(),
                 golden.femtocoulombs()
             );
+        }
+    }
+
+    #[test]
+    fn seeded_walk_matches_full_scan_bitwise() {
+        // The tight tolerance makes every Q_crit depend on the exact
+        // endpoint margins handed to ITP.
+        let ch = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions {
+                settle: 5.0e-12,
+                bisect_rel_tol: 1.0e-6,
+                ..CharacterizeOptions::default()
+            },
+        );
+        let var = VariationModel::pelgrom(ch.technology());
+        let none = HashMap::new();
+        for vdd in [0.7, 1.1].map(Voltage::from_volts) {
+            for combo in [
+                StrikeCombo::single(StrikeTarget::I1),
+                StrikeCombo::new(&StrikeTarget::ALL),
+            ] {
+                let (_, nominal_hi) = ch.critical_charge_from(vdd, combo, &none, 1).unwrap();
+                for i in 0..2 {
+                    let mut rng = Xoshiro256pp::salted_stream(5, i, 0x9E37_79B9_7F4A_7C15);
+                    let deltas = ch.sample_deltas(&var, &mut rng);
+                    let (full, full_hi) = ch.critical_charge_from(vdd, combo, &deltas, 1).unwrap();
+                    // Starts on both sides of the sample's bracket, so the
+                    // walk runs up from some and down from others.
+                    assert!(
+                        1 < full_hi && full_hi <= nominal_hi + 3,
+                        "{full_hi} {nominal_hi}"
+                    );
+                    for start in 1..=nominal_hi + 3 {
+                        let (q, hi) = ch.critical_charge_from(vdd, combo, &deltas, start).unwrap();
+                        assert_eq!(
+                            (q.coulombs().to_bits(), hi),
+                            (full.coulombs().to_bits(), full_hi),
+                            "{vdd:?} {combo:?} sample {i} start {start}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_walk_returns_q_search_max_from_any_start() {
+        // A search range that ends below Q_crit ≈ 0.1 fC never flips.
+        let ch = CellCharacterizer::new(
+            Technology::soi_finfet_14nm(),
+            CharacterizeOptions {
+                settle: 5.0e-12,
+                q_search_max: 1.0e-17,
+                ..CharacterizeOptions::default()
+            },
+        );
+        let vdd = Voltage::from_volts(0.8);
+        let combo = StrikeCombo::single(StrikeTarget::I1);
+        let top = ch.q_grid.len() - 1;
+        for start in 1..=top + 2 {
+            let (q, hi) = ch
+                .critical_charge_from(vdd, combo, &HashMap::new(), start)
+                .unwrap();
+            assert_eq!((q.coulombs(), hi), (1.0e-17, top), "start {start}");
         }
     }
 

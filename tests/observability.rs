@@ -6,7 +6,9 @@
 use finrad_core::pipeline::{PipelineConfig, SerPipeline};
 use finrad_core::strike::{DepositMode, FlipModel};
 use finrad_core::sweep::VddSweep;
+use finrad_finfet::Technology;
 use finrad_observe::{keys, InMemoryRecorder, MetricsSnapshot};
+use finrad_sram::{CellCharacterizer, CharacterizeOptions, StrikeCombo, StrikeTarget, Variation};
 use finrad_units::{Particle, Voltage};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -95,6 +97,36 @@ fn smoke_pipeline_populates_solver_and_mc_metrics() {
     // Wall-time histograms exist and are non-negative.
     assert_eq!(snap.histogram_count(keys::SRAM_COMBO_SECONDS), 7);
     assert!(snap.histogram_sum(keys::SRAM_COMBO_SECONDS) >= 0.0);
+}
+
+#[test]
+fn monte_carlo_search_starts_at_the_nominal_bracket() {
+    let (recorder, _serial) = recorder();
+    let ch = CellCharacterizer::new(
+        Technology::soi_finfet_14nm(),
+        CharacterizeOptions {
+            settle: 5.0e-12,
+            ..CharacterizeOptions::default()
+        },
+    );
+    let samples = 32;
+    let before = recorder.snapshot();
+    ch.characterize_combo(
+        Voltage::from_volts(0.8),
+        StrikeCombo::single(StrikeTarget::I1),
+        Variation::MonteCarlo { samples },
+        3,
+    )
+    .expect("characterization runs");
+    let snap = Delta {
+        before,
+        after: recorder.snapshot(),
+    };
+    // Probes per sample, the one seeding nominal search (~16 probes)
+    // included. A scan up from the floor spends ~10 probes before the
+    // first flip alone.
+    let probes = snap.counter(keys::SRAM_BISECTION_STEPS) as f64 / samples as f64;
+    assert!(probes < 8.0, "{probes} probes per sample");
 }
 
 #[test]
