@@ -30,8 +30,9 @@ cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 # perfbench rejects --seconds 0; the smallest positive budget runs one pass.
 # fig9_sweep runs the variation Monte-Carlo characterization through the
-# bit-identity, Fig. 9 trend and 5-sigma reference checks.
-for workload in nominal_lut fig9_sweep; do
+# bit-identity, Fig. 9 trend and 5-sigma reference checks; campaign_resume
+# runs the campaign runner, checkpoint and service paths.
+for workload in nominal_lut fig9_sweep campaign_resume; do
   echo "==> perfbench one-pass $workload smoke (correct, no failed ops)"
   result=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
     --workload "$workload" --seed 1 --seconds 0.001 --trace 0 | tail -n 1)

@@ -22,6 +22,13 @@ fn bench_device_eval(c: &mut Harness) {
             black_box(nfet.evaluate(v, 0.8 - v, 0.0))
         })
     });
+    c.bench_function("finfet_drain_current", |b| {
+        let mut v = 0.0f64;
+        b.iter(|| {
+            v = if v > 0.8 { 0.0 } else { v + 0.001 };
+            black_box(nfet.drain_current(v, 0.8 - v, 0.0))
+        })
+    });
 }
 
 fn bench_dc_operating_point(c: &mut Harness) {

@@ -103,6 +103,10 @@ impl PipelineConfig {
         }
     }
 
+    /// Refuses a configuration some layer cannot run. Every driver calls
+    /// this before its first layer call, so such a configuration is a
+    /// typed error rather than a panic in characterization, the transport
+    /// LUT build or the strike simulator.
     pub(crate) fn validate(&self) -> Result<(), CoreError> {
         if self.rows == 0 || self.cols == 0 {
             return Err(CoreError::InvalidConfig(
@@ -118,6 +122,28 @@ impl PipelineConfig {
             return Err(CoreError::InvalidConfig(
                 "need at least one energy bin".into(),
             ));
+        }
+        if matches!(self.variation, Variation::MonteCarlo { samples: 0 }) {
+            return Err(CoreError::InvalidConfig(
+                "variation Monte Carlo needs at least one sample".into(),
+            ));
+        }
+        if self.deposit == DepositMode::LutMean {
+            if self.lut_samples == 0 {
+                return Err(CoreError::InvalidConfig(
+                    "LUT-mean deposits need at least one LUT sample per energy point".into(),
+                ));
+            }
+            if self.lut_energy_points < 2 {
+                return Err(CoreError::InvalidConfig(
+                    "LUT-mean deposits need at least two LUT energy points".into(),
+                ));
+            }
+            if self.flip_model == FlipModel::Expected {
+                return Err(CoreError::InvalidConfig(
+                    "the Expected flip model requires chord-exact deposits".into(),
+                ));
+            }
         }
         Ok(())
     }

@@ -107,9 +107,11 @@ fn ekv_f(x: f64) -> f64 {
     s * s
 }
 
-/// Its derivative `F'(x) = ln(1 + e^{x/2}) · σ(x/2)`.
-fn ekv_f_prime(x: f64) -> f64 {
-    softplus(0.5 * x) * sigmoid(0.5 * x)
+/// `F(x)` and its derivative `F'(x) = ln(1 + e^{x/2}) · σ(x/2)`, sharing
+/// one softplus.
+fn ekv_f_and_prime(x: f64) -> (f64, f64) {
+    let s = softplus(0.5 * x);
+    (s * s, s * sigmoid(0.5 * x))
 }
 
 impl FinFet {
@@ -211,20 +213,21 @@ impl FinFet {
         }
     }
 
+    /// Normalized source and drain arguments `(x_s, x_d)` with `vd >= vs`.
+    fn normalized_terminals(&self, vg: f64, vd: f64, vs: f64) -> (f64, f64) {
+        let vgs = vg - vs;
+        let vds = vd - vs;
+        let vth_eff = self.vth0 + self.delta_vth - self.eta * vds;
+        let vp = (vgs - vth_eff) / self.n_slope;
+        (vp / self.phi_t, (vp - vds) / self.phi_t)
+    }
+
     /// Core evaluation with `vd >= vs` guaranteed.
     fn evaluate_nmos_forward(&self, vg: f64, vd: f64, vs: f64) -> SmallSignal {
         let (n, eta, phi_t) = (self.n_slope, self.eta, self.phi_t);
-        let vgs = vg - vs;
-        let vds = vd - vs;
-        let vth_eff = self.vth0 + self.delta_vth - eta * vds;
-        let vp = (vgs - vth_eff) / n;
-        let xs = vp / phi_t;
-        let xd = (vp - vds) / phi_t;
-
-        let f_s = ekv_f(xs);
-        let f_d = ekv_f(xd);
-        let fp_s = ekv_f_prime(xs);
-        let fp_d = ekv_f_prime(xd);
+        let (xs, xd) = self.normalized_terminals(vg, vd, vs);
+        let (f_s, fp_s) = ekv_f_and_prime(xs);
+        let (f_d, fp_d) = ekv_f_and_prime(xd);
 
         let id = self.i_spec * (f_s - f_d);
 
@@ -246,13 +249,37 @@ impl FinFet {
         }
     }
 
+    /// Drain current alone at terminal voltages `(v_gate, v_drain,
+    /// v_source)`: bit-identical to `evaluate(..).id` (same mirroring,
+    /// swap and floating-point operations) without the derivatives. The
+    /// chord residual of `finrad-spice` needs only this.
+    pub fn drain_current(&self, v_gate: f64, v_drain: f64, v_source: f64) -> f64 {
+        match self.polarity {
+            Polarity::Nmos => self.drain_current_nmos(v_gate, v_drain, v_source),
+            Polarity::Pmos => -self.drain_current_nmos(-v_gate, -v_drain, -v_source),
+        }
+    }
+
+    fn drain_current_nmos(&self, vg: f64, vd: f64, vs: f64) -> f64 {
+        if vd >= vs {
+            self.drain_current_nmos_forward(vg, vd, vs)
+        } else {
+            -self.drain_current_nmos_forward(vg, vs, vd)
+        }
+    }
+
+    fn drain_current_nmos_forward(&self, vg: f64, vd: f64, vs: f64) -> f64 {
+        let (xs, xd) = self.normalized_terminals(vg, vd, vs);
+        self.i_spec * (ekv_f(xs) - ekv_f(xd))
+    }
+
     /// ON-state drain current at `vdd` (gate and drain at `vdd`, source at
     /// ground for NMOS; mirrored for PMOS).
     pub fn on_current(&self, vdd: Voltage) -> f64 {
         let v = vdd.volts();
         match self.polarity {
-            Polarity::Nmos => self.evaluate(v, v, 0.0).id,
-            Polarity::Pmos => -self.evaluate(0.0, 0.0, v).id,
+            Polarity::Nmos => self.drain_current(v, v, 0.0),
+            Polarity::Pmos => -self.drain_current(0.0, 0.0, v),
         }
     }
 
@@ -260,8 +287,8 @@ impl FinFet {
     pub fn off_current(&self, vdd: Voltage) -> f64 {
         let v = vdd.volts();
         match self.polarity {
-            Polarity::Nmos => self.evaluate(0.0, v, 0.0).id,
-            Polarity::Pmos => -self.evaluate(v, 0.0, v).id,
+            Polarity::Nmos => self.drain_current(0.0, v, 0.0),
+            Polarity::Pmos => -self.drain_current(v, 0.0, v),
         }
     }
 }
@@ -445,7 +472,8 @@ mod tests {
         assert!((ekv_f(y) / (y / 2.0 + 1.0e-9).powi(2) - 1.0).abs() < 0.05);
         // No overflow at extreme drive.
         assert!(ekv_f(4000.0).is_finite());
-        assert!(ekv_f_prime(4000.0).is_finite());
+        let (f, fp) = ekv_f_and_prime(4000.0);
+        assert!(f.is_finite() && fp.is_finite());
         assert!(ekv_f(-4000.0) >= 0.0);
     }
 }
@@ -454,6 +482,164 @@ mod tests {
 mod randomized_tests {
     use super::*;
     use finrad_numerics::rng::{Rng, Xoshiro256pp};
+
+    /// Seeded `(device, vg, vd, vs)` grid over both polarities, with and
+    /// without a threshold shift, spanning ±3.5 V so that `|x/2|` crosses
+    /// the ±40 softplus/sigmoid cutoffs at both terminals. Asserts that it
+    /// does, and that both drain orientations occur.
+    fn bitwise_grid() -> Vec<(FinFet, f64, f64, f64)> {
+        let tech = Technology::soi_finfet_14nm();
+        let mut rng = Xoshiro256pp::seed_from_u64(0xB175);
+        let mut devices = Vec::new();
+        for polarity in [Polarity::Nmos, Polarity::Pmos] {
+            let d = FinFet::new(&tech, polarity, 2);
+            devices.push(d.with_delta_vth(Voltage::from_mv(37.5)));
+            devices.push(d.with_delta_vth(Voltage::from_mv(-22.0)));
+            devices.push(d);
+        }
+        let mut grid = Vec::new();
+        for d in &devices {
+            for _ in 0..400 {
+                let vg = rng.gen_range(-3.5..3.5);
+                let vd = rng.gen_range(-3.5..3.5);
+                let vs = rng.gen_range(-3.5..3.5);
+                grid.push((d.clone(), vg, vd, vs));
+            }
+        }
+        // Replay the mirror and swap in the NMOS frame to see which
+        // branches and cutoffs the grid reaches.
+        let (mut above, mut below, mut swapped) = (0, 0, 0);
+        for (d, vg, vd, vs) in &grid {
+            let (vg, vd, vs) = match d.polarity {
+                Polarity::Nmos => (*vg, *vd, *vs),
+                Polarity::Pmos => (-vg, -vd, -vs),
+            };
+            swapped += usize::from(vd < vs);
+            let (vd, vs) = if vd >= vs { (vd, vs) } else { (vs, vd) };
+            let (xs, xd) = d.normalized_terminals(vg, vd, vs);
+            for x in [xs, xd] {
+                above += usize::from(0.5 * x > 40.0);
+                below += usize::from(0.5 * x < -40.0);
+            }
+        }
+        assert!(
+            above > 0 && below > 0,
+            "cutoffs unreached: {above} above, {below} below"
+        );
+        assert!(swapped > 0, "the source/drain swap branch is unreached");
+        grid
+    }
+
+    /// The device evaluation as it stood before the softplus was shared:
+    /// `F` and `F'` each compute their own `softplus(x/2)`.
+    mod retired {
+        use super::super::{sigmoid, softplus, FinFet, Polarity, SmallSignal};
+
+        fn ekv_f(x: f64) -> f64 {
+            let s = softplus(0.5 * x);
+            s * s
+        }
+
+        fn ekv_f_prime(x: f64) -> f64 {
+            softplus(0.5 * x) * sigmoid(0.5 * x)
+        }
+
+        pub(super) fn evaluate(
+            d: &FinFet,
+            v_gate: f64,
+            v_drain: f64,
+            v_source: f64,
+        ) -> SmallSignal {
+            match d.polarity {
+                Polarity::Nmos => evaluate_nmos(d, v_gate, v_drain, v_source),
+                Polarity::Pmos => {
+                    let m = evaluate_nmos(d, -v_gate, -v_drain, -v_source);
+                    SmallSignal {
+                        id: -m.id,
+                        did_dvg: m.did_dvg,
+                        did_dvd: m.did_dvd,
+                        did_dvs: m.did_dvs,
+                    }
+                }
+            }
+        }
+
+        fn evaluate_nmos(d: &FinFet, vg: f64, vd: f64, vs: f64) -> SmallSignal {
+            if vd >= vs {
+                evaluate_nmos_forward(d, vg, vd, vs)
+            } else {
+                let sw = evaluate_nmos_forward(d, vg, vs, vd);
+                SmallSignal {
+                    id: -sw.id,
+                    did_dvg: -sw.did_dvg,
+                    did_dvd: -sw.did_dvs,
+                    did_dvs: -sw.did_dvd,
+                }
+            }
+        }
+
+        fn evaluate_nmos_forward(d: &FinFet, vg: f64, vd: f64, vs: f64) -> SmallSignal {
+            let (n, eta, phi_t) = (d.n_slope, d.eta, d.phi_t);
+            let vgs = vg - vs;
+            let vds = vd - vs;
+            let vth_eff = d.vth0 + d.delta_vth - eta * vds;
+            let vp = (vgs - vth_eff) / n;
+            let xs = vp / phi_t;
+            let xd = (vp - vds) / phi_t;
+
+            let f_s = ekv_f(xs);
+            let f_d = ekv_f(xd);
+            let fp_s = ekv_f_prime(xs);
+            let fp_d = ekv_f_prime(xd);
+
+            let id = d.i_spec * (f_s - f_d);
+
+            let dvp = [1.0 / n, eta / n, -(1.0 + eta) / n];
+            let dvds = [0.0, 1.0, -1.0];
+            let mut deriv = [0.0f64; 3];
+            for k in 0..3 {
+                let dxs = dvp[k] / phi_t;
+                let dxd = (dvp[k] - dvds[k]) / phi_t;
+                deriv[k] = d.i_spec * (fp_s * dxs - fp_d * dxd);
+            }
+            SmallSignal {
+                id,
+                did_dvg: deriv[0],
+                did_dvd: deriv[1],
+                did_dvs: deriv[2],
+            }
+        }
+    }
+
+    #[test]
+    fn drain_current_matches_evaluate_bitwise() {
+        for (d, vg, vd, vs) in bitwise_grid() {
+            let id = d.drain_current(vg, vd, vs);
+            let ss = d.evaluate(vg, vd, vs);
+            assert_eq!(
+                id.to_bits(),
+                ss.id.to_bits(),
+                "{:?} at ({vg}, {vd}, {vs}): {id} vs {}",
+                d.polarity,
+                ss.id
+            );
+        }
+    }
+
+    #[test]
+    fn fused_evaluate_matches_retired_formula_bitwise() {
+        for (d, vg, vd, vs) in bitwise_grid() {
+            let new = d.evaluate(vg, vd, vs);
+            let old = retired::evaluate(&d, vg, vd, vs);
+            let bits = |s: SmallSignal| [s.id, s.did_dvg, s.did_dvd, s.did_dvs].map(f64::to_bits);
+            assert_eq!(
+                bits(new),
+                bits(old),
+                "{:?} at ({vg}, {vd}, {vs})",
+                d.polarity
+            );
+        }
+    }
 
     #[test]
     fn current_finite_and_sign_consistent() {

@@ -465,14 +465,14 @@ impl<'c> Assembler<'c> {
             r[self.branch_idx(k)] = v[vs.pos.index()] - v[vs.neg.index()] - vs.volts;
         }
         for m in &self.ckt.mosfets {
-            let ss = m
-                .device
-                .evaluate(v[m.gate.index()], v[m.drain.index()], v[m.source.index()]);
+            let id =
+                m.device
+                    .drain_current(v[m.gate.index()], v[m.drain.index()], v[m.source.index()]);
             if let Some(d) = self.idx(m.drain) {
-                r[d] += ss.id;
+                r[d] += id;
             }
             if let Some(s) = self.idx(m.source) {
-                r[s] -= ss.id;
+                r[s] -= id;
             }
         }
     }

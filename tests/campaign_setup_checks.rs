@@ -6,10 +6,13 @@
 //! `resume` would pause again at the same place. The runner refuses both
 //! as invalid configuration instead. A checkpoint the campaign cannot
 //! resume from is refused before the cell is characterized, by the
-//! service as by the runner.
+//! service as by the runner. A pipeline configuration some layer cannot
+//! run is a typed `InvalidConfig` from every driver, not a panic inside
+//! that layer.
 
 use finrad::core::campaign::{CampaignConfig, CampaignError, CampaignRunner, CampaignStatus};
 use finrad::core::checkpoint::config_fingerprint;
+use finrad::core::sweep::VddSweep;
 use finrad::prelude::*;
 use finrad_observe::keys;
 use std::fs;
@@ -111,4 +114,71 @@ fn service_refuses_a_mismatched_checkpoint_before_any_spice_solve() {
         "the checkpoint is checked before the cell is characterized"
     );
     let _ = fs::remove_file(&path);
+}
+
+/// Asserts that the pipeline, the V_dd sweep, the campaign runner (run and
+/// resume) and the service all refuse `config` as invalid configuration.
+fn refused_by_every_driver(config: PipelineConfig) {
+    let _serial = serial();
+    let pipeline = SerPipeline::new(config.clone());
+    match pipeline.run(Particle::Alpha, vdd()) {
+        Err(CoreError::InvalidConfig(_)) => {}
+        other => panic!("pipeline: expected InvalidConfig, got {other:?}"),
+    }
+    match VddSweep::run(&pipeline, &[vdd()]) {
+        Err(CoreError::InvalidConfig(_)) => {}
+        other => panic!("sweep: expected InvalidConfig, got {other:?}"),
+    }
+    let runner = CampaignRunner::new(CampaignConfig::new(config.clone(), Particle::Alpha, vdd()));
+    for result in [runner.run(), runner.resume()] {
+        match result {
+            Err(CampaignError::Pipeline(CoreError::InvalidConfig(_))) => {}
+            other => panic!("runner: expected InvalidConfig, got {other:?}"),
+        }
+    }
+    let service = CampaignService::start(ServiceConfig::default());
+    let job = service.submit(CampaignConfig::new(config, Particle::Alpha, vdd()));
+    match service.wait(job) {
+        Err(JobError::Setup(msg)) => {
+            assert!(msg.contains("invalid configuration"), "message: {msg}");
+        }
+        other => panic!("service: expected a setup error, got {other:?}"),
+    }
+}
+
+/// LUT-mean deposits with sampled flips, the combination the LUT checks
+/// apply to.
+fn lut_mean() -> PipelineConfig {
+    let mut c = pipeline();
+    c.deposit = DepositMode::LutMean;
+    c.flip_model = FlipModel::Sampled;
+    c
+}
+
+#[test]
+fn zero_variation_samples_are_refused() {
+    let mut c = pipeline();
+    c.variation = Variation::MonteCarlo { samples: 0 };
+    refused_by_every_driver(c);
+}
+
+#[test]
+fn lut_mean_without_lut_samples_is_refused() {
+    let mut c = lut_mean();
+    c.lut_samples = 0;
+    refused_by_every_driver(c);
+}
+
+#[test]
+fn lut_mean_with_one_lut_energy_point_is_refused() {
+    let mut c = lut_mean();
+    c.lut_energy_points = 1;
+    refused_by_every_driver(c);
+}
+
+#[test]
+fn lut_mean_with_expected_flips_is_refused() {
+    let mut c = lut_mean();
+    c.flip_model = FlipModel::Expected;
+    refused_by_every_driver(c);
 }
