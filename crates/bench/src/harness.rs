@@ -54,11 +54,6 @@ impl Harness {
     /// Runs one named benchmark. The closure receives a [`Bencher`] and
     /// must call [`Bencher::iter`] or [`Bencher::iter_batched`] exactly
     /// once.
-    ///
-    /// Besides the human-readable line, setting `FINRAD_BENCH_JSON=1`
-    /// emits one machine-readable `BENCHJSON {...}` line per benchmark;
-    /// `cargo xtask bench` scrapes these to build the `BENCH_<n>.json`
-    /// trajectory file (see `docs/observability.md`).
     pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) {
         let mut b = Bencher {
             budget: self.budget,
@@ -72,33 +67,7 @@ impl Harness {
             0
         };
         println!("{name:<40} {per:>12} ns/iter  ({} iters)", b.iters);
-        if std::env::var("FINRAD_BENCH_JSON").as_deref() == Ok("1") {
-            println!(
-                "BENCHJSON {{\"name\":{},\"ns_per_iter\":{per},\"iters\":{}}}",
-                json_escape(name),
-                b.iters
-            );
-        }
     }
-}
-
-/// Escapes `s` as a JSON string literal (quotes included).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Default per-benchmark budget when `FINRAD_BENCH_MS` is unset or

@@ -18,9 +18,8 @@
 //!   configuration. Instrumented code also batches its reports at chunk or
 //!   solve granularity, never per random sample.
 //! * [`InMemoryRecorder`] is the batteries-included sink: thread-safe
-//!   aggregation into sorted maps, with a [`MetricsSnapshot`] that
-//!   serializes itself to JSON for the machine-readable bench trajectory
-//!   (`BENCH_*.json`, see `docs/observability.md`).
+//!   aggregation into sorted maps, read back as a [`MetricsSnapshot`]
+//!   (see `docs/observability.md`).
 //!
 //! # Examples
 //!
@@ -302,38 +301,6 @@ impl MetricsSnapshot {
     pub fn histogram(&self, key: &str) -> Option<&HistogramSummary> {
         self.histograms.get(key)
     }
-
-    /// Serializes the snapshot as a compact JSON object:
-    /// `{"counters": {..}, "histograms": {"k": {"count":..,"sum":..,"min":..,"max":..}, ..}}`.
-    /// Non-finite aggregate values (impossible through [`Recorder::record`],
-    /// which rejects them) would serialize as `null`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(k));
-            out.push(':');
-            out.push_str(&v.to_string());
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&json_string(k));
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{}}}",
-                h.count,
-                json_number(h.sum),
-                json_number(h.min),
-                json_number(h.max)
-            ));
-        }
-        out.push_str("}}");
-        out
-    }
 }
 
 /// Escapes `s` as a JSON string literal (quotes included).
@@ -410,17 +377,6 @@ mod tests {
         rec.counter_add("a", 1);
         assert_eq!(before.counter("a"), 1);
         assert_eq!(rec.snapshot().counter("a"), 2);
-    }
-
-    #[test]
-    fn json_snapshot_shape() {
-        let rec = InMemoryRecorder::new();
-        rec.counter_add("x.count", 7);
-        rec.record("x.seconds", 1.5);
-        let json = rec.snapshot().to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"x.count\":7"));
-        assert!(json.contains("\"x.seconds\":{\"count\":1,\"sum\":1.5,\"min\":1.5,\"max\":1.5}"));
     }
 
     #[test]

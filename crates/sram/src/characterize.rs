@@ -502,6 +502,12 @@ impl CellCharacterizer {
     /// # Errors
     ///
     /// Propagates the first transient-analysis failure encountered.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Variation::MonteCarlo { samples: 0 }`: an empty sample
+    /// set has no POF curve. `PipelineConfig::validate` in `finrad-core`
+    /// refuses that configuration before any driver gets here.
     pub fn characterize_combo(
         &self,
         vdd: Voltage,
@@ -580,6 +586,11 @@ impl CellCharacterizer {
     /// # Errors
     ///
     /// Propagates the first transient-analysis failure encountered.
+    ///
+    /// # Panics
+    ///
+    /// Panics on `Variation::MonteCarlo { samples: 0 }`, as
+    /// [`Self::characterize_combo`] does.
     pub fn build_table(
         &self,
         vdd: Voltage,
@@ -612,6 +623,17 @@ mod tests {
                 ..CharacterizeOptions::default()
             },
         )
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one MC sample")]
+    fn zero_mc_samples_panic() {
+        let _ = characterizer().characterize_combo(
+            Voltage::from_volts(0.8),
+            StrikeCombo::single(StrikeTarget::I1),
+            Variation::MonteCarlo { samples: 0 },
+            1,
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! A minimal JSON parser — just enough to validate and scrape the
-//! machine-readable artifacts this workspace produces (`BENCHJSON` /
-//! `METRICSJSON` lines, `BENCH_<n>.json` trajectory files).
+//! A minimal JSON parser — just enough to validate the machine-readable
+//! reports `cargo xtask lint` writes (the native JSON report and the
+//! SARIF 2.1.0 document).
 //!
 //! The build environment has no registry access, so `serde_json` is not an
 //! option; the grammar here is the full RFC 8259 value grammar minus
@@ -32,14 +32,6 @@ impl Value {
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(m) => m.get(key),
-            _ => None,
-        }
-    }
-
-    /// The number, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Number(n) => Some(*n),
             _ => None,
         }
     }

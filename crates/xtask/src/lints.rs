@@ -521,7 +521,7 @@ fn lint_metrics_keys(
             line: w[2].line,
             col: w[2].col,
             message: format!(
-                "metric key \"{key}\" is not declared in crates/observe/src/keys.rs — undeclared keys silently vanish from BENCH trajectories{hint}"
+                "metric key \"{key}\" is not declared in crates/observe/src/keys.rs — an undeclared key records into a metric nobody reads{hint}"
             ),
         });
     }

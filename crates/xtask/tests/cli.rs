@@ -1,5 +1,5 @@
 //! The lint command line: exit codes of the `xtask` binary for usage
-//! errors and for a clean run.
+//! errors, unknown commands and a clean run.
 
 use std::process::{Command, Output};
 
@@ -36,6 +36,15 @@ fn removed_flags_are_unknown() {
             "{flags:?}: {stderr}"
         );
     }
+}
+
+#[test]
+fn bench_command_is_unknown() {
+    let out = xtask(&["bench", "--smoke"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "an unknown command must not run");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown xtask command `bench`"), "{stderr}");
 }
 
 #[test]

@@ -75,6 +75,18 @@ fn smoke_pipeline_populates_solver_and_mc_metrics() {
         "all seven strike combos"
     );
 
+    // Hot-path counters: each mechanism fires on the smoke pipeline. A
+    // zero means the cached DC operating point, the structured LU, the
+    // chord Jacobian reuse or the LTE step growth stopped running.
+    for key in [
+        keys::SRAM_DCOP_CACHE_HITS,
+        keys::SPICE_LU_STRUCTURED,
+        keys::SPICE_NEWTON_JACOBIAN_REUSES,
+        keys::SPICE_TRANSIENT_LTE_STEP_GROWTHS,
+    ] {
+        assert!(snap.counter(key) > 0, "expected {key} > 0");
+    }
+
     // Array layer: every requested MC iteration is accounted for.
     let cfg = PipelineConfig::smoke_test();
     assert_eq!(
@@ -127,6 +139,10 @@ fn monte_carlo_search_starts_at_the_nominal_bracket() {
     // first flip alone.
     let probes = snap.counter(keys::SRAM_BISECTION_STEPS) as f64 / samples as f64;
     assert!(probes < 8.0, "{probes} probes per sample");
+    // Only variation samples warm-start their DC solves from the nominal
+    // operating point.
+    let warm = snap.counter(keys::SPICE_NEWTON_WARM_STARTS);
+    assert!(warm > 0, "expected warm-started DC solves, got {warm}");
 }
 
 #[test]
